@@ -187,19 +187,20 @@ func (s *stage) ReadInode(ctx *kernel.Ctx, ino Inode) (*msg.Msg, error) {
 	// Serve from the cached IOBuffer when one exists: associate it with
 	// the requesting path (which is fully charged for it — the paper
 	// accepts charging more than is used), read through the simulated
-	// mapping, and release the association once the bytes are copied
-	// into the reply message.
+	// mapping straight into the reply message, and release the
+	// association once the bytes are copied.
 	if hold, ok := m.bufs[name]; ok {
 		assoc, err := m.iom.Associate(ctx, hold.Buffer(), ctx.Owner(),
 			iobuf.MapSpec{Current: m.node.Domain().ID()})
 		if err == nil {
 			m.Associations++
-			out := make([]byte, len(content))
-			rerr := hold.Buffer().ReadAt(m.node.Domain().ID(), 0, out)
-			m.iom.Unlock(ctx, assoc)
-			if rerr == nil {
-				return msg.FromBytes(ctx.Owner(), out), nil
+			reply := msg.New(ctx.Owner(), msg.DefaultHeadroom, len(content))
+			body := reply.Extend(len(content))
+			if hold.Buffer().ReadAt(m.node.Domain().ID(), 0, body) != nil {
+				copy(body, content)
 			}
+			m.iom.Unlock(ctx, assoc)
+			return reply, nil
 		}
 	}
 	return msg.FromBytes(ctx.Owner(), content), nil

@@ -10,6 +10,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/lib"
 	"repro/internal/module"
+	"repro/internal/msg"
 	"repro/internal/path"
 	"repro/internal/scsi"
 	"repro/internal/sim"
@@ -108,6 +109,43 @@ func TestReadFileMissThenHit(t *testing.T) {
 	// The disk seek alone is 8 ms.
 	if missTime < 8*sim.CyclesPerMillisecond {
 		t.Fatalf("disk read took %d cycles, less than the seek time", missTime)
+	}
+}
+
+// TestCachedReadServesContent: a hit is read out of the cached IOBuffer
+// straight into the reply, which must carry the file's bytes and be
+// charged to the reading path like any message of that size.
+func TestCachedReadServesContent(t *testing.T) {
+	e := newEnv(t, 1<<20, true)
+	if _, _, err := e.read(t, "/b"); err != nil {
+		t.Fatal(err)
+	}
+	reader := e.p.StageAt(1).(fs.Reader)
+	var got []byte
+	var charged, want uint64
+	e.p.Spawn("reader", func(ctx *kernel.Ctx) {
+		before := ctx.Owner().Counters.Kmem
+		m, err := reader.ReadFile(ctx, "/b")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		charged = ctx.Owner().Counters.Kmem - before
+		got = append(got, m.Bytes()...)
+		m.Free()
+		ref := msg.FromBytes(ctx.Owner(), got)
+		want = ctx.Owner().Counters.Kmem - before
+		ref.Free()
+	})
+	e.k.RunFor(sim.CyclesPerSecond)
+	if e.fs.Associations != 2 {
+		t.Fatalf("associations = %d, want 2 (both reads served from the IOBuffer)", e.fs.Associations)
+	}
+	if !bytes.Equal(got, bytes.Repeat([]byte("b"), 4096)) {
+		t.Fatalf("cached read returned %d bytes, not the file", len(got))
+	}
+	if charged != want {
+		t.Fatalf("reply charged %d kmem, FromBytes of the same body %d", charged, want)
 	}
 }
 

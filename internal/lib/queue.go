@@ -2,67 +2,111 @@ package lib
 
 import "errors"
 
-// ErrQueueFull is returned by Queue.Enqueue when the queue is at capacity.
-// Path source queues are bounded so that a flood cannot consume unbounded
+// ErrQueueFull is returned by Ring.Enqueue when the ring is at its bound.
+// Path work queues are bounded so that a flood cannot consume unbounded
 // memory before the path's thread runs — overflow is dropped at the edge,
 // charged to no one, which is itself part of the defense story.
 var ErrQueueFull = errors.New("lib: queue full")
 
-// Queue is a bounded FIFO ring buffer. The zero value is unusable; use
-// NewQueue. Paths carry four of these (Figure 6): input and output at each
-// end.
-type Queue struct {
-	items []any
+// ringMinCap is the storage a ring allocates on its first Enqueue.
+const ringMinCap = 4
+
+// Ring is a bounded FIFO ring buffer of T values. Storage is allocated
+// lazily: the first Enqueue allocates ringMinCap slots, and a full ring
+// below its bound doubles (4 → 8 → … → bound), so a path whose queue
+// never holds more than a few items never pays for the bound. Dequeued
+// slots are zeroed, so a ring never keeps a dequeued value reachable.
+//
+// The zero value is unusable; use MakeRing or NewQueue.
+type Ring[T any] struct {
+	items []T
 	head  int
 	count int
+	bound int
 }
+
+// MakeRing returns an empty ring holding at most bound items. It
+// allocates nothing until the first Enqueue; embed the result by value
+// to keep an idle ring free of heap storage.
+func MakeRing[T any](bound int) Ring[T] {
+	if bound <= 0 {
+		panic("lib: queue capacity must be positive")
+	}
+	return Ring[T]{bound: bound}
+}
+
+// Queue is the ring of boxed values.
+type Queue = Ring[any]
 
 // NewQueue returns a queue holding at most capacity items.
 func NewQueue(capacity int) *Queue {
-	if capacity <= 0 {
-		panic("lib: queue capacity must be positive")
-	}
-	return &Queue{items: make([]any, capacity)}
+	q := MakeRing[any](capacity)
+	return &q
 }
 
 // Len returns the number of queued items.
-func (q *Queue) Len() int { return q.count }
+func (q *Ring[T]) Len() int { return q.count }
 
-// Cap returns the queue capacity.
-func (q *Queue) Cap() int { return len(q.items) }
+// Cap returns the ring's bound: the most items it will ever hold.
+func (q *Ring[T]) Cap() int { return q.bound }
 
-// Enqueue appends v, or returns ErrQueueFull.
-func (q *Queue) Enqueue(v any) error {
+// Enqueue appends v, or returns ErrQueueFull at the bound.
+func (q *Ring[T]) Enqueue(v T) error {
 	if q.count == len(q.items) {
-		return ErrQueueFull
+		if q.count == q.bound {
+			return ErrQueueFull
+		}
+		q.grow()
 	}
-	q.items[(q.head+q.count)%len(q.items)] = v
+	i := q.head + q.count
+	if i >= len(q.items) {
+		i -= len(q.items)
+	}
+	q.items[i] = v
 	q.count++
 	return nil
 }
 
+// grow doubles the storage, capped at the bound, unwrapping the queued
+// items to the front of the new slice.
+func (q *Ring[T]) grow() {
+	n := min(max(2*len(q.items), ringMinCap), q.bound)
+	items := make([]T, n)
+	k := copy(items, q.items[q.head:])
+	copy(items[k:], q.items[:q.head])
+	q.items = items
+	q.head = 0
+}
+
 // Dequeue removes and returns the oldest item; ok is false when empty.
-func (q *Queue) Dequeue() (v any, ok bool) {
+func (q *Ring[T]) Dequeue() (v T, ok bool) {
 	if q.count == 0 {
-		return nil, false
+		return v, false
 	}
+	var zero T
 	v = q.items[q.head]
-	q.items[q.head] = nil
-	q.head = (q.head + 1) % len(q.items)
+	q.items[q.head] = zero
+	q.head++
+	if q.head == len(q.items) {
+		q.head = 0
+	}
 	q.count--
 	return v, true
 }
 
-// Flush empties the queue, calling fn (if non-nil) on each dropped item so
-// owners can release per-item resources.
-func (q *Queue) Flush(fn func(any)) {
+// Flush empties the ring, calling fn (if non-nil) on each dropped item
+// so owners can release per-item resources, then releases the storage.
+// A flushed ring grows again from ringMinCap if it is reused.
+func (q *Ring[T]) Flush(fn func(T)) {
 	for {
 		v, ok := q.Dequeue()
 		if !ok {
-			return
+			break
 		}
 		if fn != nil {
 			fn(v)
 		}
 	}
+	q.items = nil
+	q.head = 0
 }

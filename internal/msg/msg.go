@@ -123,11 +123,23 @@ func (m *Msg) Trim(n int) {
 // is insufficient or the backing is shared.
 func (m *Msg) Append(p []byte) {
 	m.check("Append")
-	if m.tail+len(p) > len(m.b.data) || m.b.refs > 1 {
-		m.realloc(m.head, len(p)+256)
+	copy(m.Extend(len(p)), p)
+}
+
+// Extend grows the message by n bytes at the tail and returns them for
+// the caller to fill in place (a read straight into a reply), with
+// Append's reallocation rule. The bytes are zero in a fresh backing but
+// otherwise unspecified.
+func (m *Msg) Extend(n int) []byte {
+	m.check("Extend")
+	if n < 0 {
+		panic("msg: negative extend")
 	}
-	copy(m.b.data[m.tail:], p)
-	m.tail += len(p)
+	if m.tail+n > len(m.b.data) || m.b.refs > 1 {
+		m.realloc(m.head, n+256)
+	}
+	m.tail += n
+	return m.b.data[m.tail-n : m.tail]
 }
 
 // realloc moves the contents into a fresh backing with the requested

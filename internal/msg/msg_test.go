@@ -49,6 +49,38 @@ func TestPushBeyondHeadroomReallocates(t *testing.T) {
 	}
 }
 
+// TestExtendFillsInPlace: a reply sized for its body and filled through
+// Extend is the same message, with the same kmem charge, as FromBytes
+// of that body; only the host copy is gone.
+func TestExtendFillsInPlace(t *testing.T) {
+	body := []byte("document body")
+	viaCopy, viaExtend := owner(), owner()
+	want := FromBytes(viaCopy, body)
+	m := New(viaExtend, DefaultHeadroom, len(body))
+	tail := m.Extend(len(body))
+	copy(tail, body)
+	if !bytes.Equal(m.Bytes(), want.Bytes()) || m.head != want.head || len(m.b.data) != len(want.b.data) {
+		t.Fatalf("extend: %q head %d size %d; FromBytes: %q head %d size %d",
+			m.Bytes(), m.head, len(m.b.data), want.Bytes(), want.head, len(want.b.data))
+	}
+	if viaExtend.Counters.Kmem != viaCopy.Counters.Kmem {
+		t.Fatalf("kmem %d, want %d", viaExtend.Counters.Kmem, viaCopy.Counters.Kmem)
+	}
+	// Past the tail room, or on a shared backing, Extend reallocates
+	// like Append and keeps the bytes already there.
+	d := m.Dup(viaExtend)
+	copy(m.Extend(3), "!!!")
+	if got := string(m.Bytes()); got != "document body!!!" || m.Refs() != 1 || d.Refs() != 1 {
+		t.Fatalf("extend on shared backing: %q refs %d/%d", got, m.Refs(), d.Refs())
+	}
+	d.Free()
+	m.Free()
+	want.Free()
+	if viaExtend.Counters.Kmem != 0 || viaCopy.Counters.Kmem != 0 {
+		t.Fatalf("kmem leaked: %d %d", viaExtend.Counters.Kmem, viaCopy.Counters.Kmem)
+	}
+}
+
 func TestPopTooMuchPanics(t *testing.T) {
 	m := FromBytes(owner(), []byte("ab"))
 	defer func() {

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/sim"
 )
 
@@ -38,6 +39,15 @@ type Metrics struct {
 	next        sim.Cycles
 	samples     []Sample
 	subscribers []func(Sample)
+
+	// Group memo. Ledger owners are append-only and never renamed, so
+	// each owner's group is computed once, the first time a sample sees
+	// it: ownerGroup[i] indexes ledger owner i's group in groupNames,
+	// and a tick sums into sums by index instead of naming every owner.
+	ownerGroup []int32
+	groupIndex map[string]int32
+	groupNames []string
+	sums       []groupSum
 
 	// OnSample, when non-nil, observes each sample as it is taken. The
 	// scenario harness rides this hook: detection-quality metrics
@@ -103,6 +113,7 @@ func (m *Metrics) Bind(l ledgerSource) {
 		return
 	}
 	m.ledger = l
+	m.ownerGroup, m.groupIndex, m.groupNames, m.sums = nil, map[string]int32{}, nil, nil
 }
 
 // BindFaults attaches a fault-count registry; each sample then carries
@@ -142,18 +153,28 @@ func (m *Metrics) Final(now sim.Cycles) {
 }
 
 func (m *Metrics) sample(now sim.Cycles) {
+	owners := m.ledger.Owners()
+	m.learnGroups(owners)
+	clear(m.sums)
+	for i, o := range owners {
+		sum := &m.sums[m.ownerGroup[i]]
+		c := &o.Counters
+		sum.cycles += c.Cycles
+		sum.kmem += c.Kmem
+		sum.pages += c.Pages
+	}
+	n := len(m.groupNames)
 	s := Sample{
 		At:     now,
-		Cycles: map[string]sim.Cycles{},
-		Kmem:   map[string]uint64{},
-		Pages:  map[string]uint64{},
+		Cycles: make(map[string]sim.Cycles, n),
+		Kmem:   make(map[string]uint64, n),
+		Pages:  make(map[string]uint64, n),
 	}
-	for _, o := range m.ledger.Owners() {
-		g := m.group(o.Name)
-		c := o.Counters
-		s.Cycles[g] += c.Cycles
-		s.Kmem[g] += c.Kmem
-		s.Pages[g] += c.Pages
+	for gi, g := range m.groupNames {
+		sum := &m.sums[gi]
+		s.Cycles[g] = sum.cycles
+		s.Kmem[g] = sum.kmem
+		s.Pages[g] = sum.pages
 	}
 	if m.faults != nil {
 		s.Faults = map[string]uint64{}
@@ -167,6 +188,28 @@ func (m *Metrics) sample(now sim.Cycles) {
 	}
 	if m.OnSample != nil {
 		m.OnSample(s)
+	}
+}
+
+// groupSum is one group's per-tick resource totals.
+type groupSum struct {
+	cycles      sim.Cycles
+	kmem, pages uint64
+}
+
+// learnGroups extends the group memo to owners registered since the
+// last sample. The group function runs once per owner, ever.
+func (m *Metrics) learnGroups(owners []*core.Owner) {
+	for _, o := range owners[len(m.ownerGroup):] {
+		g := m.group(o.Name)
+		gi, ok := m.groupIndex[g]
+		if !ok {
+			gi = int32(len(m.groupNames))
+			m.groupIndex[g] = gi
+			m.groupNames = append(m.groupNames, g)
+			m.sums = append(m.sums, groupSum{})
+		}
+		m.ownerGroup = append(m.ownerGroup, gi)
 	}
 }
 

@@ -27,9 +27,7 @@ import (
 // Path kernel-memory footprints.
 const (
 	pathKmem    = 1024
-	inQueueCap  = 128
-	numQueues   = 4
-	qWork       = 0 // inbound + control work queue (network end)
+	inQueueCap  = 128 // bound on the path's work queue
 	workerCount = 1
 	maxPathLen  = 32 // bound on the incremental open walk
 )
@@ -61,8 +59,10 @@ type StageRec struct {
 
 // Path is the path object (Figure 6): the Owner structure is its first
 // element, followed by the allowed protection-domain crossings, the
-// stage list, queues, thread pool, and the reference count that delays
-// pathDestroy (but never pathKill).
+// stage list, the work queue, thread pool, and the reference count that
+// delays pathDestroy (but never pathKill). Figure 6 draws four queues,
+// input and output at each end; this simulator only ever queues inbound
+// and control work at the network end, so a path carries that one.
 type Path struct {
 	Owner core.Owner
 
@@ -71,7 +71,7 @@ type Path struct {
 	allowed *lib.Hash
 	stages  []StageRec
 	handles []*stageHandle
-	q       [numQueues]*lib.Queue
+	work    lib.Ring[workItem] // inbound + control work, grown on demand
 	workSem *kernel.Semaphore
 	refCnt  int
 
@@ -130,7 +130,7 @@ func (p *Path) Spawn(name string, fn func(ctx *kernel.Ctx)) {
 // messages and control items accepted but not yet processed. The
 // watchdog uses it to distinguish a starved path (work pending, no
 // progress) from an idle one.
-func (p *Path) PendingWork() int { return p.q[qWork].Len() }
+func (p *Path) PendingWork() int { return p.work.Len() }
 
 // OnKill registers fn to run if the path is summarily killed, while
 // the path's owner can still receive refunds. Module-level per-path
@@ -184,7 +184,7 @@ func (p *Path) EnqueueIn(m *msg.Msg) error {
 	}
 	k := p.mgr.k
 	k.Burn(&p.Owner, k.Model().QueueOp)
-	if err := p.q[qWork].Enqueue(&workItem{m: m}); err != nil {
+	if err := p.work.Enqueue(workItem{m: m}); err != nil {
 		p.Drops++
 		m.Free()
 		return ErrQueueFull
@@ -205,7 +205,7 @@ func (p *Path) EnqueueControl(idx int, fn func(ctx *kernel.Ctx, st module.Stage)
 	}
 	k := p.mgr.k
 	k.Burn(&p.Owner, k.Model().QueueOp)
-	if err := p.q[qWork].Enqueue(&workItem{ctlIdx: idx, ctl: fn}); err != nil {
+	if err := p.work.Enqueue(workItem{ctlIdx: idx, ctl: fn}); err != nil {
 		p.Drops++
 		return ErrQueueFull
 	}
@@ -221,7 +221,7 @@ func (p *Path) RequestDestroy() {
 	if !p.alive {
 		return
 	}
-	if err := p.q[qWork].Enqueue(&workItem{destroy: true}); err != nil {
+	if err := p.work.Enqueue(workItem{destroy: true}); err != nil {
 		return
 	}
 	p.workSem.Signal(&p.Owner)
@@ -234,11 +234,10 @@ func (p *Path) worker(ctx *kernel.Ctx) {
 		if err := p.workSem.P(ctx); err != nil {
 			return // semaphore destroyed with the path
 		}
-		v, ok := p.q[qWork].Dequeue()
+		item, ok := p.work.Dequeue()
 		if !ok {
 			continue
 		}
-		item := v.(*workItem)
 		switch {
 		case item.destroy:
 			p.mgr.Destroy(ctx, p)
@@ -248,15 +247,15 @@ func (p *Path) worker(ctx *kernel.Ctx) {
 			_ = p.deliverFrom(ctx, len(p.stages)-1, module.Up, item.m)
 			item.m.Free()
 		case item.ctl != nil:
-			rec := p.stages[item.ctlIdx]
+			rec, ctl := p.stages[item.ctlIdx], item.ctl
 			ctx.Cross(rec.Node.Domain().ID(), func() {
-				item.ctl(ctx, rec.Stage)
+				ctl(ctx, rec.Stage)
 			})
 		}
 		// One work item per slice: a well-designed Escort thread yields
 		// between units of work, so a backlog (a busy passive path under
 		// heavy connection setup) never trips its own runaway limit.
-		if p.q[qWork].Len() > 0 {
+		if p.work.Len() > 0 {
 			ctx.Yield()
 		}
 	}
@@ -456,6 +455,7 @@ func (mgr *Manager) create(ctx *kernel.Ctx, name, start string, attrs lib.Attrs)
 		Owner: core.Owner{Name: name, Type: core.PathOwner},
 		name:  name,
 		mgr:   mgr,
+		work:  lib.MakeRing[workItem](inQueueCap),
 	}
 	k.AdoptOwner(&p.Owner)
 	p.Owner.ChargeKmem(pathKmem)
@@ -519,9 +519,6 @@ func (mgr *Manager) create(ctx *kernel.Ctx, name, start string, attrs lib.Attrs)
 	p.Owner.ChargeKmem(hashKmem)
 	p.staticKmem += hashKmem
 
-	for i := range p.q {
-		p.q[i] = lib.NewQueue(inQueueCap)
-	}
 	p.workSem = k.NewSemaphore(&p.Owner, name+":work", 0)
 	for i := 0; i < workerCount; i++ {
 		if _, err := k.SpawnChecked(&p.Owner, name+":worker", p.worker, SpawnOptsForPath(p)); err != nil {
@@ -616,7 +613,7 @@ func (mgr *Manager) Destroy(ctx *kernel.Ctx, p *Path) {
 		}
 	}
 	p.dropDomainHooks()
-	p.drainQueues()
+	p.work.Flush(freeWorkMsg)
 	p.releaseDomainCharges(false)
 	p.Owner.RefundKmem(p.staticKmem)
 	mgr.k.DestroyOwner(&p.Owner, false)
@@ -643,7 +640,7 @@ func (mgr *Manager) Kill(p *Path) sim.Cycles {
 	}
 	p.killHooks = nil
 	p.dropDomainHooks()
-	p.drainQueues()
+	p.work.Flush(freeWorkMsg)
 	p.releaseDomainCharges(true)
 	p.Owner.RefundKmem(p.staticKmem)
 	mgr.k.DestroyOwner(&p.Owner, true)
@@ -665,16 +662,12 @@ func (p *Path) dropDomainHooks() {
 	p.domHooks = nil
 }
 
-func (p *Path) drainQueues() {
-	for _, q := range p.q {
-		if q == nil {
-			continue
-		}
-		q.Flush(func(v any) {
-			if item, ok := v.(*workItem); ok && item.m != nil {
-				item.m.Free()
-			}
-		})
+// freeWorkMsg frees a message still queued for a dying path. Flush also
+// drops the queue's storage, which matters because the ledger keeps
+// dead paths reachable.
+func freeWorkMsg(item workItem) {
+	if item.m != nil {
+		item.m.Free()
 	}
 }
 

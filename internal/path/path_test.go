@@ -447,6 +447,60 @@ func TestQueueOverflowDropsAndCounts(t *testing.T) {
 	}
 }
 
+// TestWorkQueueBoundAndKmem: the lazily grown work queue keeps the
+// fixed bound (the 129th enqueue is dropped and counted), its storage
+// is never charged (a path's kmem is pathKmem plus its crossings hash
+// plus the kernel objects it spawns, however deep the queue), and
+// pathKill frees every queued message.
+func TestWorkQueueBoundAndKmem(t *testing.T) {
+	app, mid, dev := chain()
+	appFirst(app, mid, dev)
+	e := buildEnv(t, true, app, mid, dev)
+
+	// The kernel's charges for a worker thread and its semaphore, read
+	// off a bare owner built the same way.
+	probe := e.k.NewOwner("probe", core.PathOwner)
+	e.k.NewSemaphore(probe, "probe:work", 0)
+	e.k.Spawn(probe, "probe:worker", func(*kernel.Ctx) {}, kernel.SpawnOpts{})
+	kernelKmem := probe.Counters.Kmem
+
+	p := createPath(t, e)
+	hash := uint64(p.allowed.MemSize())
+	if hash == 0 {
+		t.Fatal("per-module domains gave the path no crossings hash")
+	}
+	if p.staticKmem != pathKmem+hash {
+		t.Fatalf("staticKmem = %d, want pathKmem %d + hash %d", p.staticKmem, pathKmem, hash)
+	}
+	want := pathKmem + hash + kernelKmem
+	if got := p.PathOwner().Counters.Kmem; got != want {
+		t.Fatalf("path kmem after create = %d, want %d", got, want)
+	}
+
+	src := e.k.KernelOwner()
+	before := src.Counters.Kmem
+	for i := 0; i < inQueueCap+1; i++ {
+		err := p.EnqueueIn(msg.FromBytes(src, []byte("x")))
+		if full := i == inQueueCap; full != errors.Is(err, ErrQueueFull) {
+			t.Fatalf("enqueue %d: err = %v", i, err)
+		}
+	}
+	if p.Drops != 1 || p.PendingWork() != inQueueCap {
+		t.Fatalf("drops=%d pending=%d, want 1 and %d", p.Drops, p.PendingWork(), inQueueCap)
+	}
+	if got := p.PathOwner().Counters.Kmem; got != want {
+		t.Fatalf("path kmem with a full queue = %d, want %d", got, want)
+	}
+
+	e.mgr.Kill(p)
+	if p.PendingWork() != 0 {
+		t.Fatalf("pending after kill = %d", p.PendingWork())
+	}
+	if src.Counters.Kmem != before {
+		t.Fatalf("queued messages not freed on kill: kmem %d, want %d", src.Counters.Kmem, before)
+	}
+}
+
 func TestEnqueueOnDeadPathFails(t *testing.T) {
 	app, mid, dev := chain()
 	appFirst(app, mid, dev)

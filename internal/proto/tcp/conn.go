@@ -341,8 +341,7 @@ func (c *conn) sendSegment(ctx *kernel.Ctx, flags byte, seq uint32, payload *msg
 	if mm == nil {
 		mm = msg.New(c.path.PathOwner(), msg.DefaultHeadroom, 0)
 	}
-	body := append([]byte(nil), mm.Bytes()...)
-	c.bytesOut += uint64(len(body))
+	c.bytesOut += uint64(mm.Len())
 	hdr := mm.Push(wire.TCPLen)
 	wire.PutTCP(hdr, wire.TCP{
 		SrcPort: c.localPort,
@@ -351,7 +350,7 @@ func (c *conn) sendSegment(ctx *kernel.Ctx, flags byte, seq uint32, payload *msg
 		Ack:     c.rcvNxt,
 		Flags:   flags,
 		Window:  advertised,
-	}, c.localIP, c.remoteIP, body)
+	}, c.localIP, c.remoteIP, mm.Bytes()[wire.TCPLen:])
 	ctx.Use(sim.Cycles(mm.Len()) * model.PerByte)
 	_ = c.h.SendDown(ctx, mm)
 }
