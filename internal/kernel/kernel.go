@@ -4,13 +4,17 @@
 // the syscall surface, and the containment machinery (maximum thread
 // runtime without yields, owner destruction).
 //
-// Execution model: threads are Go goroutines used strictly as coroutines
-// — exactly one runs at a time, and control returns to the kernel's
-// dispatch loop at yield, block, and exit points, mirroring Escort's
-// non-preemptive threads (§3.2). All CPU consumption flows through
-// Kernel.Burn, which both charges the owner and advances the virtual
-// clock, so the ledger always sums to the measured total (the Table 1
-// invariant).
+// Execution model: each thread runs on a body, an iter.Pull coroutine.
+// Exactly one runs at a time: the kernel's dispatch loop resumes a body
+// and gets control back at the thread's yield, block, and exit points,
+// mirroring Escort's non-preemptive threads (§3.2). An exited thread's
+// body goes to a free list and runs the next spawned thread, so thread
+// churn creates no goroutines once the pool covers the peak live count.
+// A panic in a thread that is not the kernel's own kill or exit unwind
+// surfaces from Kernel.Run on the caller's goroutine. All CPU
+// consumption flows through Kernel.Burn, which both charges the owner
+// and advances the virtual clock, so the ledger always sums to the
+// measured total (the Table 1 invariant).
 package kernel
 
 import (
@@ -93,6 +97,9 @@ type Kernel struct {
 	// set: Stop and DestroyOwner walk it, and walking a map would make
 	// teardown order (and therefore the trace) differ run to run.
 	threads []*Thread
+	// idle is the LIFO free list of exited threads' bodies, linked
+	// through coro.nextIdle; Spawn reuses them before creating new ones.
+	idle *coro
 
 	ticks uint64 // softclock ticks (1 ms system timer)
 
@@ -358,8 +365,7 @@ func (k *Kernel) resume(t *Thread) {
 	if tr != nil {
 		began = k.eng.Now()
 	}
-	t.resume <- struct{}{}
-	kind := <-t.yielded
+	kind, _ := t.co.next()
 	if tr != nil {
 		tr.ThreadSlice(uint32(t.curDomain), t.owner.Name, t.name, began, k.eng.Now(), kind.String())
 	}
@@ -380,9 +386,25 @@ func (k *Kernel) resume(t *Thread) {
 	}
 }
 
-// finishThread retires a thread after its goroutine has unwound.
+// bind hands t a body to run fn on, reusing an idle one if any.
+func (k *Kernel) bind(t *Thread, fn Fn) {
+	co := k.idle
+	if co != nil {
+		k.idle, co.nextIdle = co.nextIdle, nil
+	} else {
+		co = newCoro()
+	}
+	co.t, co.fn = t, fn
+	t.co = co
+}
+
+// finishThread retires a thread after its Fn has unwound, returning its
+// body to the idle pool.
 func (k *Kernel) finishThread(t *Thread) {
 	t.state = threadDead
+	co := t.co
+	co.t, co.fn, t.co = nil, nil, nil
+	co.nextIdle, k.idle = k.idle, co
 	k.sch.Remove(t)
 	t.owner.Untrack(core.TrackThreads, &t.node)
 	t.refundCharges()
@@ -403,20 +425,26 @@ func (k *Kernel) makeRunnable(t *Thread) {
 	k.sch.Enqueue(t)
 }
 
-// Stop halts the dispatch loop and unwinds every live thread so no
-// goroutines leak. The kernel is unusable afterwards.
+// Stop halts the dispatch loop, unwinds every live thread, and stops
+// every body, idle ones included, so no goroutines leak. The kernel is
+// unusable afterwards.
 func (k *Kernel) Stop() {
 	k.stopped = true
 	k.eng.Cancel(k.softclockEv)
-	for _, t := range append([]*Thread(nil), k.threads...) {
+	// Unwinding runs the threads' deferred module code, which can spawn
+	// more threads; they are unwound in turn.
+	for len(k.threads) > 0 {
+		t := k.threads[0]
+		k.threads = k.threads[1:]
 		t.killed = true
-		if t.state != threadDead {
-			t.resume <- struct{}{}
-			<-t.yielded
-			t.state = threadDead
-			k.removeThread(t)
-		}
+		t.co.next()
+		t.co.stop()
+		t.state = threadDead
 	}
+	for co := k.idle; co != nil; co = co.nextIdle {
+		co.stop()
+	}
+	k.idle = nil
 }
 
 // removeThread drops t from the live-thread list, preserving spawn

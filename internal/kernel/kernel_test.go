@@ -172,7 +172,7 @@ func TestKillBlockedThread(t *testing.T) {
 		t.Fatal("killed thread continued past block point")
 	}
 	if k.LiveThreads() != 0 {
-		t.Fatalf("live threads = %d; killed thread goroutine leaked", k.LiveThreads())
+		t.Fatalf("live threads = %d; killed thread leaked", k.LiveThreads())
 	}
 	if sem.Waiters() != 0 {
 		t.Fatal("killed thread left on semaphore wait queue")
@@ -190,7 +190,7 @@ func TestKillNewThreadBeforeFirstDispatch(t *testing.T) {
 		t.Fatal("killed-before-dispatch thread ran its body")
 	}
 	if k.LiveThreads() != 0 {
-		t.Fatal("goroutine leaked")
+		t.Fatal("thread leaked")
 	}
 }
 
@@ -228,7 +228,7 @@ func TestRunawayDetectionAndContainment(t *testing.T) {
 	}
 	_ = elapsed
 	if k.LiveThreads() != 0 {
-		t.Fatal("runaway goroutine leaked")
+		t.Fatal("runaway thread leaked")
 	}
 }
 
@@ -452,7 +452,7 @@ func TestCrossUnwindOnKill(t *testing.T) {
 		t.Fatalf("crossing stack depth = %d after unwind", th.CrossDepth())
 	}
 	if k.LiveThreads() != 0 {
-		t.Fatal("goroutine leaked")
+		t.Fatal("thread leaked")
 	}
 }
 

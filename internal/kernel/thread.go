@@ -3,6 +3,7 @@ package kernel
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/domain"
@@ -54,7 +55,7 @@ func (y yieldKind) String() string {
 }
 
 // killSentinel is the panic value used to unwind a killed thread's
-// goroutine; exitSentinel unwinds a voluntary Ctx.Exit.
+// body; exitSentinel unwinds a voluntary Ctx.Exit.
 type sentinel int
 
 const (
@@ -73,9 +74,8 @@ type Thread struct {
 	k     *Kernel
 	name  string
 	owner *core.Owner
-
-	resume  chan struct{}
-	yielded chan yieldKind
+	co    *coro // body running this thread; nil once it has exited
+	ctx   Ctx   // the thread's calling environment, handed to its Fn
 
 	state         threadState
 	killed        bool
@@ -83,14 +83,13 @@ type Thread struct {
 	usedThisSlice sim.Cycles
 
 	curDomain  domain.ID
-	crossStack []domain.ID        // kernel-resident crossing stack
-	stacks     map[domain.ID]bool // domains with a materialized stack
-	allowed    *lib.Hash          // path's allowed-crossings table (nil for domain threads)
-	node       lib.Node           // owner thread-list tracking
-	sem        *Semaphore         // where blocked, if anywhere
-	onKilled   func()             // test hook
-	refunded   bool               // kmem/stack charges already returned
-	schedState *sched.State       // per-thread queue state bound to the owner's Share
+	crossStack []domain.ID // kernel-resident crossing stack
+	stacks     []domain.ID // non-kernel domains with a materialized stack
+	allowed    *lib.Hash   // path's allowed-crossings table (nil for domain threads)
+	node       lib.Node    // owner thread-list tracking
+	sem        *Semaphore  // where blocked, if anywhere
+	refunded   bool        // kmem/stack charges already returned
+	schedState sched.State // per-thread queue state bound to the owner's Share
 }
 
 // Name returns the thread's name.
@@ -111,7 +110,7 @@ func (t *Thread) CrossDepth() int { return len(t.crossStack) }
 // SchedState implements sched.Entity: each thread has its own queue
 // state, but it draws on its owner's Share, so an owner's threads
 // collectively receive the owner's allocation.
-func (t *Thread) SchedState() *sched.State { return t.schedState }
+func (t *Thread) SchedState() *sched.State { return &t.schedState }
 
 // ReleaseOwned implements core.Tracked: owner teardown kills the thread
 // and returns its kmem/stack charges while the owner can still receive
@@ -184,14 +183,12 @@ func (k *Kernel) SpawnChecked(owner *core.Owner, name string, fn Fn, opts SpawnO
 		k:          k,
 		name:       name,
 		owner:      owner,
-		resume:     make(chan struct{}),  //escort:coldpath spawn construction, as above
-		yielded:    make(chan yieldKind), //escort:coldpath spawn construction, as above
 		state:      threadNew,
 		curDomain:  opts.StartDomain,
-		stacks:     make(map[domain.ID]bool), //escort:coldpath spawn construction, as above
 		allowed:    opts.Allowed,
-		schedState: sched.NewState(OwnerShare(owner)),
+		schedState: sched.MakeState(OwnerShare(owner)),
 	}
+	t.ctx = Ctx{k: k, t: t}
 	t.node.Value = t
 	owner.ChargeKmem(threadKmem)
 	owner.ChargeStacks(1) // home stack
@@ -203,32 +200,7 @@ func (k *Kernel) SpawnChecked(owner *core.Owner, name string, fn Fn, opts SpawnO
 	if tr := k.tracer; tr != nil {
 		tr.ThreadSpawn(uint32(t.curDomain), owner.Name, name, k.eng.Now())
 	}
-
-	go func() { //escort:coldpath one goroutine environment per spawned thread
-		<-t.resume
-		defer func() {
-			if r := recover(); r != nil {
-				if s, ok := r.(sentinel); ok {
-					if s == killSentinel {
-						if t.onKilled != nil {
-							t.onKilled()
-						}
-						t.yielded <- yieldKilled
-						return
-					}
-					t.yielded <- yieldExited
-					return
-				}
-				panic(r)
-			}
-			t.yielded <- yieldExited
-		}()
-		if t.killed {
-			panic(killSentinel)
-		}
-		fn(&Ctx{k: k, t: t})
-	}()
-
+	k.bind(t, fn)
 	k.makeRunnable(t)
 	return t, nil
 }
@@ -246,7 +218,7 @@ func OwnerShare(o *core.Owner) *sched.Share {
 }
 
 // KillThread marks a thread for termination. A blocked thread is pulled
-// off its semaphore and made runnable so its goroutine unwinds at next
+// off its semaphore and made runnable so its body unwinds at next
 // dispatch; the currently running thread terminates at its next charge or
 // block point (Escort threads "can be preempted if they are destroyed
 // immediately afterwards").
@@ -324,8 +296,7 @@ func (c *Ctx) Use(n sim.Cycles) {
 	// not soften non-preemptive semantics; it only keeps the simulation
 	// controllable when a no-limit configuration hosts a runaway.
 	if dl := c.k.runDeadline; dl > 0 && c.Now() >= dl {
-		c.t.yielded <- yieldPaused
-		<-c.t.resume
+		c.t.co.yield(yieldPaused)
 		c.checkKilled()
 	}
 }
@@ -334,8 +305,7 @@ func (c *Ctx) Use(n sim.Cycles) {
 func (c *Ctx) Yield() {
 	c.checkCurrent("Yield")
 	c.checkKilled()
-	c.t.yielded <- yieldYielded
-	<-c.t.resume
+	c.t.co.yield(yieldYielded)
 	c.checkKilled()
 }
 
@@ -348,8 +318,7 @@ func (c *Ctx) Exit() {
 // block parks the thread; some other context must makeRunnable it.
 func (c *Ctx) block() {
 	c.checkCurrent("block")
-	c.t.yielded <- yieldBlocked
-	<-c.t.resume
+	c.t.co.yield(yieldBlocked)
 	c.checkKilled()
 }
 
@@ -416,9 +385,9 @@ func (c *Ctx) Cross(target domain.ID, fn func()) {
 	if tr != nil {
 		tr.TLBFlush(uint32(target), t.owner.Name, c.Now())
 	}
-	if !t.stacks[target] && target != domain.KernelID {
-		t.stacks[target] = true
-		t.owner.ChargeStacks(1) //escort:held per-domain stack, refunded by refundCharges at thread exit
+	if target != domain.KernelID && !slices.Contains(t.stacks, target) {
+		t.stacks = append(t.stacks, target) //escort:coldpath grows only on a thread's first entry into a domain, which StackSetup charges
+		t.owner.ChargeStacks(1)             //escort:held per-domain stack, refunded by refundCharges at thread exit
 		c.Use(m.StackSetup)
 	}
 	t.crossStack = append(t.crossStack, t.curDomain) //escort:coldpath crossing stack pops on return; the backing array amortizes to its high-water mark

@@ -48,12 +48,13 @@ type State struct {
 	inQueue bool
 }
 
-// NewState returns a State drawing on share.
-func NewState(share *Share) *State {
+// MakeState returns a State drawing on share, for an entity to hold by
+// value.
+func MakeState(share *Share) State {
 	if share == nil {
 		share = &Share{}
 	}
-	return &State{share: share}
+	return State{share: share}
 }
 
 // Share returns the owner allocation this entity draws on.

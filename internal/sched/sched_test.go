@@ -9,15 +9,15 @@ import (
 
 type ent struct {
 	name string
-	st   *State
+	st   State
 }
 
 func newEnt(name string, share Share) *ent {
 	sh := share
-	return &ent{name: name, st: NewState(&sh)}
+	return &ent{name: name, st: MakeState(&sh)}
 }
 
-func (e *ent) SchedState() *State { return e.st }
+func (e *ent) SchedState() *State { return &e.st }
 
 func TestStrideProportionalFairness(t *testing.T) {
 	// Two entities with 3:1 tickets must receive CPU in a 3:1 ratio when
