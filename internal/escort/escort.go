@@ -343,8 +343,7 @@ func NewServer(eng *sim.Engine, model *cost.Model, seg netsim.Attacher, opt Opti
 		s.Contain = policy.EnableContainment(k, mgr)
 	}
 	if opt.Faults != nil && opt.Faults.Watchdog && accounting {
-		s.Watchdog = policy.EnableWatchdog(k, mgr,
-			policy.WatchdogConfig{Stall: opt.Faults.WatchdogStall})
+		s.Watchdog = policy.EnableWatchdog(k, mgr, opt.Faults.WatchdogStall)
 	}
 	if opt.Faults != nil && opt.Faults.Shed > 0 {
 		// Overload shedding: refuse new connections while page-pool
@@ -361,8 +360,7 @@ func NewServer(eng *sim.Engine, model *cost.Model, seg netsim.Attacher, opt Opti
 		s.TCP.Puzzle = &tcpmod.PuzzleGate{Bits: opt.Faults.PuzzleBits}
 	}
 	if opt.Faults != nil && opt.Faults.Reaper && accounting {
-		s.Reaper = policy.EnableSessionReaper(k, mgr, s.TCP,
-			policy.ReaperConfig{MinAge: opt.Faults.ReaperMinAge})
+		s.Reaper = policy.EnableSessionReaper(k, mgr, s.TCP, opt.Faults.ReaperMinAge)
 	}
 	if opt.Faults != nil && opt.Faults.Detector && accounting {
 		s.Detector = policy.EnableDetector(k, mgr, s.TCP, s.TCP, o.Metrics,

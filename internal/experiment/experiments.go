@@ -1,8 +1,10 @@
 package experiment
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"strings"
 
 	"repro/internal/experiment/runner"
@@ -128,8 +130,8 @@ func FormatFig8(rows []Fig8Row) string {
 	for _, doc := range docOrder {
 		fmt.Fprintf(&b, "Figure 8: connections/second, %s document\n", doc)
 		sub := byDoc[doc]
-		configs := orderedConfigs(sub)
-		clients := orderedClients(sub)
+		configs := distinct(sub, func(r Fig8Row) Config { return r.Config })
+		clients := distinctSorted(sub, func(r Fig8Row) int { return r.Clients })
 		fmt.Fprintf(&b, "%8s", "#clients")
 		for _, c := range configs {
 			fmt.Fprintf(&b, " %14s", c)
@@ -147,28 +149,23 @@ func FormatFig8(rows []Fig8Row) string {
 	return b.String()
 }
 
-func orderedConfigs(rows []Fig8Row) []Config {
-	seen := map[Config]bool{}
-	var out []Config
+// distinct returns the distinct keys of rows in first-seen order.
+func distinct[R any, K comparable](rows []R, key func(R) K) []K {
+	seen := map[K]bool{}
+	var out []K
 	for _, r := range rows {
-		if !seen[r.Config] {
-			seen[r.Config] = true
-			out = append(out, r.Config)
+		if k := key(r); !seen[k] {
+			seen[k] = true
+			out = append(out, k)
 		}
 	}
 	return out
 }
 
-func orderedClients(rows []Fig8Row) []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, r := range rows {
-		if !seen[r.Clients] {
-			seen[r.Clients] = true
-			out = append(out, r.Clients)
-		}
-	}
-	sort.Ints(out)
+// distinctSorted returns the distinct keys of rows in ascending order.
+func distinctSorted[R any, K cmp.Ordered](rows []R, key func(R) K) []K {
+	out := distinct(rows, key)
+	slices.Sort(out)
 	return out
 }
 
@@ -385,20 +382,13 @@ func Fig9(sc Scale, docs []DocSpec) ([]Fig9Row, error) {
 func FormatFig9(rows []Fig9Row) string {
 	var b strings.Builder
 	for _, doc := range []DocSpec{Doc1B, Doc1K, Doc10K} {
-		any := false
-		for _, r := range rows {
-			if r.Doc.Name == doc.Name {
-				any = true
-				break
-			}
-		}
-		if !any {
+		if !slices.ContainsFunc(rows, func(r Fig9Row) bool { return r.Doc.Name == doc.Name }) {
 			continue
 		}
 		fmt.Fprintf(&b, "Figure 9: %s document, 1000 SYN/s untrusted attack\n", doc.Label)
 		fmt.Fprintf(&b, "%8s %16s %16s %9s %16s %16s %9s\n", "#clients",
 			"Acct", "Acct+SYN", "slow%", "Acct_PD", "Acct_PD+SYN", "slow%")
-		for _, n := range clientsOf(rows) {
+		for _, n := range distinctSorted(rows, func(r Fig9Row) int { return r.Clients }) {
 			a := fig9Rate(rows, ConfigAccounting, doc, n, false)
 			aa := fig9Rate(rows, ConfigAccounting, doc, n, true)
 			p := fig9Rate(rows, ConfigAccountingPD, doc, n, false)
@@ -409,19 +399,6 @@ func FormatFig9(rows []Fig9Row) string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-func clientsOf(rows []Fig9Row) []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, r := range rows {
-		if !seen[r.Clients] {
-			seen[r.Clients] = true
-			out = append(out, r.Clients)
-		}
-	}
-	sort.Ints(out)
-	return out
 }
 
 func fig9Rate(rows []Fig9Row, cfg Config, doc DocSpec, n int, attack bool) float64 {
@@ -438,4 +415,190 @@ func slowdown(base, loaded float64) float64 {
 		return 0
 	}
 	return 100 * (base - loaded) / base
+}
+
+// Fig10Row is one point of Figure 10: best-effort rate with and without
+// the 1 MBps QoS stream, plus the stream's achieved rate.
+type Fig10Row struct {
+	Config   Config
+	Doc      DocSpec
+	Clients  int
+	Stream   bool
+	ConnPS   float64
+	QoSRate  float64 // bytes/second delivered to the receiver
+	QoSError float64 // fractional deviation from the 1 MBps target
+}
+
+// QoSTarget is the paper's guaranteed stream rate: 1 MByte/second.
+const QoSTarget = 1 << 20
+
+// Fig10 reproduces Figure 10: the impact of one guaranteed 1 MBps
+// stream on best-effort traffic, and the stream's own fidelity (the
+// paper: always within 1% of target).
+func Fig10(sc Scale, docs []DocSpec) ([]Fig10Row, error) {
+	type point struct {
+		doc    DocSpec
+		cfg    Config
+		stream bool
+		n      int
+	}
+	var pts []point
+	for _, doc := range docs {
+		for _, cfg := range []Config{ConfigAccounting, ConfigAccountingPD} {
+			for _, stream := range []bool{false, true} {
+				for _, n := range sc.Clients {
+					pts = append(pts, point{doc, cfg, stream, n})
+				}
+			}
+		}
+	}
+	return runner.MapErr(len(pts), sc.Workers, func(i int) (Fig10Row, error) {
+		p := pts[i]
+		label := fmt.Sprintf("fig10-%s-%s-c%d-stream%v", strings.TrimPrefix(p.doc.Name, "/"), p.cfg, p.n, p.stream)
+		tb, err := NewTestbed(p.cfg, Options{QoSRateBps: QoSTarget, Obs: sc.obsFor(label), Faults: sc.Faults})
+		if err != nil {
+			return Fig10Row{}, err
+		}
+		tb.AddClients(p.n, p.doc.Name)
+		if p.stream {
+			tb.AddQoSReceiver()
+		}
+		rate := tb.MeasureRate(sc.Warm, sc.Window)
+		row := Fig10Row{Config: p.cfg, Doc: p.doc, Clients: p.n, Stream: p.stream, ConnPS: rate}
+		if p.stream {
+			row.QoSRate = tb.QoS.RateBps(sc.Window)
+			row.QoSError = (row.QoSRate - QoSTarget) / QoSTarget
+		}
+		tb.Close()
+		return row, nil
+	})
+}
+
+// FormatFig10 renders the figure.
+func FormatFig10(rows []Fig10Row) string {
+	var b strings.Builder
+	for _, doc := range []DocSpec{Doc1B, Doc1K, Doc10K} {
+		if !slices.ContainsFunc(rows, func(r Fig10Row) bool { return r.Doc.Name == doc.Name }) {
+			continue
+		}
+		fmt.Fprintf(&b, "Figure 10: %s document, 1 MBps QoS stream\n", doc.Label)
+		fmt.Fprintf(&b, "%8s %14s %14s %9s %14s %14s %9s %10s\n", "#clients",
+			"Acct", "Acct+QoS", "slow%", "Acct_PD", "Acct_PD+QoS", "slow%", "QoS err%")
+		for _, n := range distinctSorted(rows, func(r Fig10Row) int { return r.Clients }) {
+			a := fig10Rate(rows, ConfigAccounting, doc, n, false)
+			aq := fig10Rate(rows, ConfigAccounting, doc, n, true)
+			p := fig10Rate(rows, ConfigAccountingPD, doc, n, false)
+			pq := fig10Rate(rows, ConfigAccountingPD, doc, n, true)
+			worstErr := 0.0
+			for _, r := range rows {
+				if r.Doc.Name == doc.Name && r.Clients == n && r.Stream {
+					worstErr = max(worstErr, math.Abs(r.QoSError))
+				}
+			}
+			fmt.Fprintf(&b, "%8d %14.1f %14.1f %8.1f%% %14.1f %14.1f %8.1f%% %9.2f%%\n",
+				n, a, aq, slowdown(a, aq), p, pq, slowdown(p, pq), 100*worstErr)
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+func fig10Rate(rows []Fig10Row, cfg Config, doc DocSpec, n int, stream bool) float64 {
+	for _, r := range rows {
+		if r.Config == cfg && r.Doc.Name == doc.Name && r.Clients == n && r.Stream == stream {
+			return r.ConnPS
+		}
+	}
+	return 0
+}
+
+// Fig11Row is one point of Figure 11: best-effort rate under CGI
+// attackers, with the QoS stream held.
+type Fig11Row struct {
+	Config    Config
+	Doc       DocSpec
+	Attackers int
+	ConnPS    float64
+	QoSRate   float64
+	Kills     uint64
+}
+
+// Fig11 reproduces Figure 11: 64 clients, the 1 MBps stream, and 1-50
+// CGI attackers launching one runaway per second. Each runaway burns
+// 2 ms of CPU before detection; pathKill then reclaims everything. The
+// QoS stream must stay within 1% throughout.
+func Fig11(sc Scale, docs []DocSpec, clients int) ([]Fig11Row, error) {
+	type point struct {
+		doc DocSpec
+		cfg Config
+		atk int
+	}
+	var pts []point
+	for _, doc := range docs {
+		for _, cfg := range []Config{ConfigAccounting, ConfigAccountingPD} {
+			for _, atk := range sc.CGICnts {
+				pts = append(pts, point{doc, cfg, atk})
+			}
+		}
+	}
+	return runner.MapErr(len(pts), sc.Workers, func(i int) (Fig11Row, error) {
+		p := pts[i]
+		label := fmt.Sprintf("fig11-%s-%s-cgi%d", strings.TrimPrefix(p.doc.Name, "/"), p.cfg, p.atk)
+		tb, err := NewTestbed(p.cfg, Options{QoSRateBps: QoSTarget, Obs: sc.obsFor(label), Faults: sc.Faults})
+		if err != nil {
+			return Fig11Row{}, err
+		}
+		tb.AddClients(clients, p.doc.Name)
+		tb.AddQoSReceiver()
+		tb.AddCGIAttackers(p.atk)
+		rate := tb.MeasureRate(sc.Warm, sc.Window)
+		row := Fig11Row{
+			Config:    p.cfg,
+			Doc:       p.doc,
+			Attackers: p.atk,
+			ConnPS:    rate,
+			QoSRate:   tb.QoS.RateBps(sc.Window),
+			Kills:     tb.Escort.Contain.Kills,
+		}
+		tb.Close()
+		return row, nil
+	})
+}
+
+// FormatFig11 renders the figure.
+func FormatFig11(rows []Fig11Row, clients int) string {
+	var b strings.Builder
+	for _, doc := range []DocSpec{Doc1B, Doc1K, Doc10K} {
+		if !slices.ContainsFunc(rows, func(r Fig11Row) bool { return r.Doc.Name == doc.Name }) {
+			continue
+		}
+		fmt.Fprintf(&b, "Figure 11: %s document, %d clients, 1 MBps stream, CGI attackers\n", doc.Label, clients)
+		fmt.Fprintf(&b, "%10s %14s %10s %10s %14s %10s %10s\n", "#attackers",
+			"Acct c/s", "QoS err%", "kills", "Acct_PD c/s", "QoS err%", "kills")
+		for _, atk := range distinctSorted(rows, func(r Fig11Row) int { return r.Attackers }) {
+			a := fig11Row(rows, ConfigAccounting, doc, atk)
+			p := fig11Row(rows, ConfigAccountingPD, doc, atk)
+			fmt.Fprintf(&b, "%10d %14.1f %9.2f%% %10d %14.1f %9.2f%% %10d\n",
+				atk, a.ConnPS, qosErrPct(a.QoSRate), a.Kills,
+				p.ConnPS, qosErrPct(p.QoSRate), p.Kills)
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+func qosErrPct(rate float64) float64 {
+	if rate == 0 {
+		return 0
+	}
+	return math.Abs((rate - QoSTarget) / QoSTarget * 100)
+}
+
+func fig11Row(rows []Fig11Row, cfg Config, doc DocSpec, atk int) Fig11Row {
+	for _, r := range rows {
+		if r.Config == cfg && r.Doc.Name == doc.Name && r.Attackers == atk {
+			return r
+		}
+	}
+	return Fig11Row{}
 }

@@ -31,7 +31,7 @@ func naiveSample(owners []*core.Owner, group func(string) string) obs.Sample {
 // TestSamplerMatchesNaiveGrouping: with owners registered between
 // samples, counters moving, owners dying and a custom OwnerGroup, every
 // memoized sample equals a per-owner recomputation over the ledger as
-// it stood at that tick, and subscribers see it before OnSample.
+// it stood at that tick, and subscribers see it in registration order.
 func TestSamplerMatchesNaiveGrouping(t *testing.T) {
 	group := func(name string) string {
 		if i := strings.IndexByte(name, '/'); i >= 0 {
@@ -57,7 +57,7 @@ func TestSamplerMatchesNaiveGrouping(t *testing.T) {
 		}
 		checked++
 	})
-	m.OnSample = func(obs.Sample) { order = append(order, "OnSample") }
+	m.Subscribe(func(obs.Sample) { order = append(order, "second") })
 
 	var now sim.Cycles
 	registered := 0
@@ -89,7 +89,7 @@ func TestSamplerMatchesNaiveGrouping(t *testing.T) {
 		t.Fatalf("group function ran %d times for %d owners, want once per owner", calls, registered)
 	}
 	for i := 0; i < len(order); i += 2 {
-		if order[i] != "subscriber" || order[i+1] != "OnSample" {
+		if order[i] != "subscriber" || order[i+1] != "second" {
 			t.Fatalf("callback order %v", order)
 		}
 	}

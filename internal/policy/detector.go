@@ -13,7 +13,6 @@ package policy
 import (
 	"strconv"
 
-	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/lib"
 	"repro/internal/module"
@@ -145,10 +144,16 @@ type srcState struct {
 	selfCyc  ewma
 	selfKmem ewma
 
+	// This tick's features; seen is set when the demand table, or a
+	// live and owned connection, reported the source this tick.
+	f    tickFeatures
+	seen bool
+
 	// Response state.
 	strikes int
 	clean   int
 	flagged bool
+	shed    bool
 	killed  bool
 }
 
@@ -173,12 +178,9 @@ type connSnap struct {
 // can never set: zero false kills by construction.
 type Detector struct {
 	*Ladder
-	k      *kernel.Kernel
-	mgr    *path.Manager
 	conns  SessionSource
 	demand DemandSource
 	cfg    DetectorConfig
-	owner  *core.Owner
 
 	// OnOffender, when non-nil, receives sources the kill rung boxes
 	// directly because they own no live paths (pure demand floods).
@@ -187,7 +189,7 @@ type Detector struct {
 	OnOffender func(srcIP uint32)
 
 	srcs  map[uint32]*srcState
-	order []uint32 // first-seen source order: deterministic iteration
+	order []*srcState // first-seen source order: deterministic iteration
 
 	snaps map[module.PathRef]connSnap
 
@@ -199,8 +201,6 @@ type Detector struct {
 	popKmem   ewma
 	popCycles sim.Cycles
 	popBytes  uint64
-
-	shed map[uint32]bool
 
 	warmUntil sim.Cycles
 	started   bool
@@ -216,9 +216,9 @@ type Detector struct {
 	log []byte
 }
 
-// EnableDetector arms the detector: it registers a dedicated ledger
-// owner (scan cost is a visible row, like the watchdog's), subscribes
-// to the sampler's tick, and returns the detector for wiring
+// EnableDetector arms the detector: its Ladder registers a dedicated
+// ledger owner (scan cost is a visible row, like the watchdog's); it
+// subscribes to the sampler's tick and returns the detector for wiring
 // (tcp.Module.ShedSrc wants SourceShed; OnOffender wants the penalty
 // box). The sampler must be the kernel's metrics instance — escort
 // installs a sink-less obs.NewSampler when no metrics export is
@@ -232,18 +232,14 @@ func EnableDetector(k *kernel.Kernel, mgr *path.Manager, conns SessionSource,
 		cfg.K = DefaultDetectorK
 	}
 	d := &Detector{
-		Ladder: NewLadder(k, mgr),
-		k:      k,
-		mgr:    mgr,
+		Ladder: newLadder(k, mgr, "Policy Detector"),
 		conns:  conns,
 		demand: demand,
 		cfg:    cfg,
 		srcs:   make(map[uint32]*srcState),
 		snaps:  make(map[module.PathRef]connSnap),
-		shed:   make(map[uint32]bool),
 		log:    []byte("at_cycles,action,src,arrivals,cycles,bytes,kmem,strikes\n"),
 	}
-	d.owner = k.NewOwner("Policy Detector", core.DomainOwner)
 	if m != nil {
 		m.Subscribe(d.tick)
 	}
@@ -253,7 +249,8 @@ func EnableDetector(k *kernel.Kernel, mgr *path.Manager, conns SessionSource,
 // SourceShed is the per-source shed predicate for tcp.Module.ShedSrc:
 // true while the source sits on the shed rung or above.
 func (d *Detector) SourceShed(srcIP uint32) bool {
-	return d.shed[srcIP]
+	st := d.srcs[srcIP]
+	return st != nil && st.shed
 }
 
 // DecisionLog returns the CSV decision log: one row per response
@@ -267,7 +264,7 @@ func (d *Detector) src(ip uint32) *srcState {
 	if !ok {
 		s = &srcState{ip: ip}
 		d.srcs[ip] = s
-		d.order = append(d.order, ip)
+		d.order = append(d.order, s)
 	}
 	return s
 }
@@ -293,18 +290,17 @@ func (d *Detector) tick(s obs.Sample) {
 		d.warmUntil = now + d.cfg.Warmup
 	}
 
-	feats := d.collect()
+	d.collect()
 
 	// Baseline updates: every active source feeds its own profile;
 	// sources not currently on the ladder also feed the population.
 	model := d.k.Model()
 	cost := model.EventOp
-	for _, ip := range d.order {
-		st := d.srcs[ip]
-		f, ok := feats[ip]
-		if !ok {
+	for _, st := range d.order {
+		if !st.seen {
 			continue
 		}
+		f := &st.f
 		cost += model.AccountingOp
 		if f.arrivals > 0 {
 			st.selfArr.update(f.arrivals)
@@ -335,10 +331,8 @@ func (d *Detector) tick(s obs.Sample) {
 		return
 	}
 
-	for _, ip := range d.order {
-		st := d.srcs[ip]
-		f := feats[ip]
-		d.judge(now, st, f)
+	for _, st := range d.order {
+		d.judge(now, st)
 	}
 }
 
@@ -346,9 +340,14 @@ func (d *Detector) tick(s obs.Sample) {
 // demand ledger (arrival deltas) and the connection table (per-conn
 // cycle/byte deltas against last tick's snapshot, kmem levels, live
 // paths). The snapshot map is rebuilt each tick so dead connections
-// cannot pin entries.
-func (d *Detector) collect() map[uint32]tickFeatures {
-	feats := make(map[uint32]tickFeatures)
+// cannot pin entries, and each source's path list is cleared so dead
+// paths cannot either.
+func (d *Detector) collect() {
+	for _, st := range d.order {
+		clear(st.f.paths)
+		st.f = tickFeatures{paths: st.f.paths[:0]}
+		st.seen = false
+	}
 	if d.demand != nil {
 		d.demand.EachSrcDemand(func(ip uint32, dem tcp.SrcDemand) {
 			st := d.src(ip)
@@ -356,9 +355,8 @@ func (d *Detector) collect() map[uint32]tickFeatures {
 			delta := total - st.prevDemand
 			st.prevDemand = total
 			st.totArrivals += delta
-			f := feats[ip]
-			f.arrivals += int64(delta)
-			feats[ip] = f
+			st.f.arrivals += int64(delta)
+			st.seen = true
 		})
 	}
 	next := make(map[module.PathRef]connSnap, len(d.snaps))
@@ -383,18 +381,17 @@ func (d *Detector) collect() map[uint32]tickFeatures {
 			next[cs.Path] = connSnap{cycles: cyc, bytes: bytes}
 			st.totCycles += dc
 			st.totBytes += db
-			f := feats[cs.RemoteIP]
+			f := &st.f
 			f.cycles += int64(dc)
 			f.bytes += int64(db)
 			f.kmem += int64(owner.Counters.Kmem)
 			if p, ok := cs.Path.(*path.Path); ok {
 				f.paths = append(f.paths, p)
 			}
-			feats[cs.RemoteIP] = f
+			st.seen = true
 		})
 	}
 	d.snaps = next
-	return feats
 }
 
 // asymmetric reports the cycles-per-byte asymmetry bit for a source:
@@ -417,9 +414,10 @@ func (d *Detector) asymmetric(st *srcState) bool {
 	return st.totCycles > thresh*sim.Cycles(st.totBytes)
 }
 
-// judge scores one source against the baselines and advances or decays
-// its position on the response ladder.
-func (d *Detector) judge(now sim.Cycles, st *srcState, f tickFeatures) {
+// judge scores one source's tick features against the baselines and
+// advances or decays its position on the response ladder.
+func (d *Detector) judge(now sim.Cycles, st *srcState) {
+	f := &st.f
 	k := d.cfg.K
 	zArr := f.arrivals > 0 &&
 		(d.popArr.above(f.arrivals, k, arrFloor) || st.selfArr.above(f.arrivals, k, arrFloor))
@@ -441,10 +439,8 @@ func (d *Detector) judge(now sim.Cycles, st *srcState, f tickFeatures) {
 			if st.clean >= detectorForgiveTicks {
 				st.strikes = 0
 				st.clean = 0
-				if d.shed[st.ip] {
-					delete(d.shed, st.ip)
-				}
-				d.logRow(now, "forgive", st, f)
+				st.shed = false
+				d.logRow(now, "forgive", st)
 			}
 		}
 		return
@@ -464,36 +460,41 @@ func (d *Detector) judge(now sim.Cycles, st *srcState, f tickFeatures) {
 		for _, p := range f.paths {
 			d.Demote(p, "detectorDemote")
 		}
-		d.logRow(now, "demote", st, f)
+		d.logRow(now, "demote", st)
 	case st.strikes == strikeShed:
 		d.Escalations++
-		d.shed[st.ip] = true
+		st.shed = true
 		d.Sheds++
 		if tr := d.k.Tracer(); tr != nil {
 			tr.Policy("detectorShed", "", lib.FormatIPv4(st.ip), now)
 		}
-		d.logRow(now, "shed", st, f)
-	case st.strikes >= strikeKill && asym && !st.killed:
+		d.logRow(now, "shed", st)
+	case st.strikes >= strikeKill && asym && !st.killed &&
+		(len(f.paths) > 0 || d.OnOffender != nil):
 		// The kill rung is gated on the asymmetry bit: z-deviation alone
-		// (a legitimately busy client) never kills.
+		// (a legitimately busy client) never kills. It is taken only when
+		// it can act: a source with no live paths and no penalty box to
+		// send it to stays on the shed rung until one of them appears.
 		d.Escalations++
 		st.killed = true
 		if len(f.paths) > 0 {
 			for _, p := range f.paths {
 				d.Kill(p, "detectorKill")
 			}
-			d.logRow(now, "kill", st, f)
-		} else if d.OnOffender != nil {
+			d.logRow(now, "kill", st)
+		} else {
 			// Pure demand flood: nothing to kill, box the source directly.
 			d.OnOffender(st.ip)
 			d.Boxed++
-			d.logRow(now, "box", st, f)
+			d.logRow(now, "box", st)
 		}
 	}
 }
 
-// logRow appends one decision to the CSV log.
-func (d *Detector) logRow(now sim.Cycles, action string, st *srcState, f tickFeatures) {
+// logRow appends one decision, with the source's tick features, to
+// the CSV log.
+func (d *Detector) logRow(now sim.Cycles, action string, st *srcState) {
+	f := &st.f
 	b := d.log
 	b = strconv.AppendUint(b, uint64(now), 10)
 	b = append(b, ',')

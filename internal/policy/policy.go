@@ -62,15 +62,6 @@ func EnableContainment(k *kernel.Kernel, mgr *path.Manager) *Containment {
 	return c
 }
 
-// SynDefense describes the trusted/untrusted split of §4.4.1.
-type SynDefense struct {
-	// TrustedMatch selects source addresses of the trusted subnet.
-	TrustedMatch func(uint32) bool
-	// TrustedCap and UntrustedCap bound each passive path's outstanding
-	// SYN_RECVD count; zero means unlimited.
-	TrustedCap, UntrustedCap int
-}
-
 // PassiveAttrs builds the attribute set for one passive SYN path.
 func PassiveAttrs(port int, trustClass string, match func(uint32) bool, synCap int, activeStart string, extra lib.Attrs) lib.Attrs {
 	return lib.Attrs{

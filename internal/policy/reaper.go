@@ -1,7 +1,6 @@
 package policy
 
 import (
-	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/module"
 	"repro/internal/path"
@@ -21,22 +20,10 @@ const (
 	// workload completes well inside it.
 	DefaultReaperMinAge = 500 * sim.CyclesPerMillisecond
 	// DefaultReaperCyclesPerByte is the asymmetry threshold: an
-	// established session older than MinAge whose owner has burned more
+	// established session older than the minimum age whose owner has burned more
 	// than this many cycles per payload byte is a trickle.
 	DefaultReaperCyclesPerByte = 2000
 )
-
-// ReaperConfig tunes the idle/slow-session reaper (see ROBUSTNESS.md).
-type ReaperConfig struct {
-	// MinAge is the minimum established age before a session is judged
-	// (zero: DefaultReaperMinAge).
-	MinAge sim.Cycles
-	// MaxCyclesPerByte is the trickle threshold (zero:
-	// DefaultReaperCyclesPerByte).
-	MaxCyclesPerByte sim.Cycles
-	// Interval is the scan period (zero: MinAge/4).
-	Interval sim.Cycles
-}
 
 // SessionSource is the connection-table view the reaper scans;
 // *tcp.Module implements it.
@@ -54,49 +41,40 @@ type SessionSource interface {
 // the penalty box through the module's offender report.
 type SessionReaper struct {
 	*Ladder
-	k   *kernel.Kernel
-	mgr *path.Manager
-	src SessionSource
-	cfg ReaperConfig
+	src    SessionSource
+	minAge sim.Cycles
 
 	demoted map[module.PathRef]bool
 }
 
-// EnableSessionReaper arms the reaper on its own owner, so its scan
-// cost is a distinct ledger row like the watchdog's and the TCP master
-// event's.
-func EnableSessionReaper(k *kernel.Kernel, mgr *path.Manager, src SessionSource, cfg ReaperConfig) *SessionReaper {
-	if cfg.MinAge == 0 {
-		cfg.MinAge = DefaultReaperMinAge
+// EnableSessionReaper arms the reaper (see ROBUSTNESS.md): an
+// established session older than minAge whose owner has burned more
+// than DefaultReaperCyclesPerByte cycles per payload byte is demoted,
+// and killed if it is still trickling a scan later. Zero minAge means
+// DefaultReaperMinAge; the scan runs every minAge/4.
+func EnableSessionReaper(k *kernel.Kernel, mgr *path.Manager, src SessionSource, minAge sim.Cycles) *SessionReaper {
+	if minAge == 0 {
+		minAge = DefaultReaperMinAge
 	}
-	if cfg.MaxCyclesPerByte == 0 {
-		cfg.MaxCyclesPerByte = DefaultReaperCyclesPerByte
-	}
-	if cfg.Interval == 0 {
-		cfg.Interval = cfg.MinAge / 4
-	}
-	r := &SessionReaper{Ladder: NewLadder(k, mgr), k: k, mgr: mgr, src: src, cfg: cfg,
+	r := &SessionReaper{Ladder: newLadder(k, mgr, "Session Reaper"), src: src, minAge: minAge,
 		demoted: make(map[module.PathRef]bool)}
-	owner := k.NewOwner("Session Reaper", core.DomainOwner)
-	k.RegisterEvent(owner, "Session Reaper", cfg.Interval, cfg.Interval, r.scan)
+	r.every(minAge/4, r.scan)
 	return r
 }
 
 // scan walks the connection table; demotion state is rebuilt each pass
 // so dead paths cannot pin entries.
-func (r *SessionReaper) scan(ctx *kernel.Ctx) {
-	model := r.k.Model()
-	ctx.Use(model.EventOp)
-	now := ctx.Now()
+func (r *SessionReaper) scan(ctx *kernel.Ctx, now sim.Cycles) {
+	op := r.k.Model().AccountingOp
 	next := make(map[module.PathRef]bool, len(r.demoted))
 	r.src.EachConn(func(cs tcp.ConnStats) {
-		ctx.Use(model.AccountingOp)
+		ctx.Use(op)
 		if cs.State != tcp.StateEstablished || !cs.Path.Alive() {
 			return
 		}
-		// Strictly older than MinAge: a session at exactly MinAge has not
+		// Strictly older than minAge: a session at exactly minAge has not
 		// yet had its grace period and must not be judged.
-		if now-cs.Since <= r.cfg.MinAge {
+		if now-cs.Since <= r.minAge {
 			return
 		}
 		owner := cs.Path.PathOwner()
@@ -104,7 +82,7 @@ func (r *SessionReaper) scan(ctx *kernel.Ctx) {
 			return
 		}
 		bytes := cs.BytesIn + cs.BytesOut
-		if bytes > 0 && owner.Counters.Cycles < r.cfg.MaxCyclesPerByte*sim.Cycles(bytes) {
+		if bytes > 0 && owner.Counters.Cycles < DefaultReaperCyclesPerByte*sim.Cycles(bytes) {
 			return // moving bytes at a sane cost: leave it alone
 		}
 		p, ok := cs.Path.(*path.Path)

@@ -1,7 +1,6 @@
 package policy
 
 import (
-	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/path"
 	"repro/internal/sim"
@@ -11,18 +10,6 @@ import (
 // with queued work is considered stuck: 25 master-tick-sized quanta.
 const DefaultWatchdogStall = 50 * sim.CyclesPerMillisecond
 
-// WatchdogConfig tunes the hung-path watchdog (see ROBUSTNESS.md).
-type WatchdogConfig struct {
-	// Stall is the no-progress threshold: a path holding queued work
-	// that delivers nothing for Stall cycles is demoted; one that stays
-	// stuck for another Stall is killed. Zero means
-	// DefaultWatchdogStall.
-	Stall sim.Cycles
-	// Interval is the scan period. Zero means Stall/4 (so escalation
-	// latency is at most a quarter-threshold past exact).
-	Interval sim.Cycles
-}
-
 // Watchdog detects hung or starved paths and escalates through the
 // shared response Ladder: first demote the path's allocation, then
 // pathKill it. Fault injection (and real bugs) can wedge a path with
@@ -31,9 +18,7 @@ type WatchdogConfig struct {
 // reclamation a runaway triggers.
 type Watchdog struct {
 	*Ladder
-	k   *kernel.Kernel
-	mgr *path.Manager
-	cfg WatchdogConfig
+	stall sim.Cycles
 
 	seen map[*path.Path]watchState
 }
@@ -45,42 +30,39 @@ type watchState struct {
 	demoted  bool
 }
 
-// EnableWatchdog arms the watchdog on its own owner (the scan cost
-// shows up as a distinct ledger row, like the TCP master event).
-func EnableWatchdog(k *kernel.Kernel, mgr *path.Manager, cfg WatchdogConfig) *Watchdog {
-	if cfg.Stall == 0 {
-		cfg.Stall = DefaultWatchdogStall
+// EnableWatchdog arms the watchdog (see ROBUSTNESS.md). A path holding
+// queued work that delivers nothing for stall cycles is demoted; one
+// that stays stuck for another stall is killed. Zero stall means
+// DefaultWatchdogStall. The scan runs every stall/4, so escalation
+// latency is at most a quarter-threshold past exact.
+func EnableWatchdog(k *kernel.Kernel, mgr *path.Manager, stall sim.Cycles) *Watchdog {
+	if stall == 0 {
+		stall = DefaultWatchdogStall
 	}
-	if cfg.Interval == 0 {
-		cfg.Interval = cfg.Stall / 4
-	}
-	w := &Watchdog{Ladder: NewLadder(k, mgr), k: k, mgr: mgr, cfg: cfg,
+	w := &Watchdog{Ladder: newLadder(k, mgr, "Path Watchdog"), stall: stall,
 		seen: make(map[*path.Path]watchState)}
-	owner := k.NewOwner("Path Watchdog", core.DomainOwner)
-	k.RegisterEvent(owner, "Path Watchdog", cfg.Interval, cfg.Interval, w.scan)
+	w.every(stall/4, w.scan)
 	return w
 }
 
 // scan walks the live paths in creation order; iteration state is
 // rebuilt each pass so dead paths cannot pin entries.
-func (w *Watchdog) scan(ctx *kernel.Ctx) {
-	model := w.k.Model()
-	ctx.Use(model.EventOp)
-	now := ctx.Now()
+func (w *Watchdog) scan(ctx *kernel.Ctx, now sim.Cycles) {
+	op := w.k.Model().AccountingOp
 	next := make(map[*path.Path]watchState, len(w.seen))
 	for _, p := range w.mgr.Paths() {
-		ctx.Use(model.AccountingOp)
+		ctx.Use(op)
 		prog := p.Delivered + p.Drops
 		st, ok := w.seen[p]
 		if !ok || st.progress != prog {
 			st = watchState{progress: prog, since: now, demoted: st.demoted}
 		}
-		if stuck := p.PendingWork() > 0 && now-st.since >= w.cfg.Stall; stuck {
+		if stuck := p.PendingWork() > 0 && now-st.since >= w.stall; stuck {
 			switch {
 			case !st.demoted:
 				w.Demote(p, "watchdogDemote")
 				st.demoted = true
-			case now-st.since >= 2*w.cfg.Stall:
+			case now-st.since >= 2*w.stall:
 				w.Kill(p, "watchdogKill")
 				continue // killed: no state to carry
 			}

@@ -1,6 +1,12 @@
 package scenario
 
 import (
+	"crypto/sha256"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -30,10 +36,49 @@ func TestScenarioMatrix(t *testing.T) {
 	}
 }
 
+var update = flag.Bool("update", false, "rewrite testdata/compare.golden")
+
+// goldenEntry renders one (scenario, policy) result for compare.golden:
+// a header carrying the attacked run's metrics-CSV SHA-256, then the
+// detector's decision log verbatim (empty under the static policy).
+func goldenEntry(r *Result) string {
+	return fmt.Sprintf("== %s %s csv-sha256=%x\n%s",
+		r.Scenario, r.Policy, sha256.Sum256([]byte(r.CSV)), r.Decisions)
+}
+
+// parseGolden splits compare.golden into its entries, keyed by the
+// "scenario policy" pair of each header.
+func parseGolden(b []byte) map[string]string {
+	entries := make(map[string]string)
+	var key string
+	for _, line := range strings.SplitAfter(string(b), "\n") {
+		if rest, ok := strings.CutPrefix(line, "== "); ok {
+			f := strings.Fields(rest)
+			key = f[0] + " " + f[1]
+		}
+		entries[key] += line
+	}
+	return entries
+}
+
 // TestCompareMatrix runs every scenario under both policies and
 // enforces the adaptive regression bounds: containment under both,
-// adaptive time-to-detect no later than static, zero false kills.
+// adaptive time-to-detect no later than static, zero false kills. It
+// also pins every run's decision log and metrics CSV against
+// testdata/compare.golden, so a change that moves any simulated byte
+// fails here. Regenerate with
+// go test ./internal/scenario -run TestCompareMatrix -update.
 func TestCompareMatrix(t *testing.T) {
+	golden := filepath.Join("testdata", "compare.golden")
+	var want map[string]string
+	if !*update {
+		b, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = parseGolden(b)
+	}
+	var got strings.Builder
 	for _, s := range All {
 		t.Run(s.Name, func(t *testing.T) {
 			st, ad, err := Compare(s)
@@ -43,7 +88,25 @@ func TestCompareMatrix(t *testing.T) {
 			t.Logf("%s: static ttd=%.0fms goodput=%.2f | adaptive ttd=%.0fms goodput=%.2f falseKills=%d",
 				s.Name, st.TimeToDetectMs, st.GoodputRetained,
 				ad.TimeToDetectMs, ad.GoodputRetained, ad.FalseKills)
+			for _, r := range []*Result{st, ad} {
+				e := goldenEntry(r)
+				got.WriteString(e)
+				if w := want[r.Scenario+" "+r.Policy]; !*update && e != w {
+					t.Errorf("%s/%s diverges from %s (rerun with -update if the change is intended):\n--- got ---\n%s--- want ---\n%s",
+						r.Scenario, r.Policy, golden, e, w)
+				}
+			}
 		})
+	}
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	} else if len(want) != 2*len(All) {
+		t.Errorf("%s holds %d entries, want %d (rerun with -update)", golden, len(want), 2*len(All))
 	}
 }
 
