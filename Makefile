@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint lint-json lint-sarif fmt fmt-check vet check bench bench-parity bench-smoke chaos-smoke scenarios scenarios-smoke
+.PHONY: all build test race lint lint-json lint-sarif fmt fmt-check vet check bench bench-parity bench-smoke chaos-smoke scenarios scenarios-smoke fuzz-smoke
 
 all: check
 
@@ -89,3 +89,14 @@ scenarios-smoke:
 	$(GO) test -race -run 'TestScenariosSmoke' -v ./internal/scenario/
 	$(GO) run ./cmd/escort-bench -scenario all -report /tmp/scenarios-new.json > /dev/null
 	$(GO) run ./cmd/benchjson -compare SCENARIOS.json /tmp/scenarios-new.json
+
+# fuzz-smoke runs every Fuzz* target in the module for 10 s on top of
+# its checked-in corpus (testdata/fuzz). go test fuzzes one target per
+# invocation, so the targets are found by name and run one at a time.
+fuzz-smoke:
+	@set -e; for f in $$(grep -rl --include='*_test.go' --exclude-dir=testdata '^func Fuzz' internal cmd); do \
+	  for fz in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\).*/\1/p' $$f); do \
+	    echo "fuzz-smoke: $$fz in $$(dirname $$f)"; \
+	    $(GO) test -run '^$$' -fuzz "^$$fz$$" -fuzztime 10s ./$$(dirname $$f); \
+	  done; \
+	done

@@ -35,6 +35,7 @@ type Server struct {
 
 	conns map[uint64]*sconn
 	iss   uint32
+	tx    []byte // scratch send buffer; NIC.Send copies it onto the wire
 
 	// Completed counts served connections; Forks counts per-connection
 	// processes; SynSeen counts connection attempts.
@@ -135,7 +136,7 @@ func (s *Server) rxARP(eh wire.Eth, b []byte) {
 	if err != nil || a.Op != wire.ARPRequest || a.TargetIP != s.IP {
 		return
 	}
-	buf := make([]byte, wire.EthLen+wire.ARPLen)
+	buf := s.txFrame(wire.EthLen + wire.ARPLen)
 	wire.PutEth(buf, wire.Eth{Dst: a.SenderMAC, Src: s.MAC, EtherType: wire.EtherTypeARP})
 	wire.PutARP(buf[wire.EthLen:], wire.ARP{
 		Op: wire.ARPReply, SenderMAC: s.MAC, SenderIP: s.IP,
@@ -293,7 +294,7 @@ func (c *sconn) pump() {
 
 func (c *sconn) send(flags byte, seq uint32, payload []byte) {
 	s := c.s
-	buf := make([]byte, wire.EthLen+wire.IPv4Len+wire.TCPLen+len(payload))
+	buf := s.txFrame(wire.EthLen + wire.IPv4Len + wire.TCPLen + len(payload))
 	copy(buf[wire.EthLen+wire.IPv4Len+wire.TCPLen:], payload)
 	wire.PutEth(buf, wire.Eth{Dst: c.peerMAC, Src: s.MAC, EtherType: wire.EtherTypeIPv4})
 	wire.PutIPv4(buf[wire.EthLen:], wire.IPv4{
@@ -312,6 +313,15 @@ func (c *sconn) send(flags byte, seq uint32, payload []byte) {
 		Window:  32768,
 	}, s.IP, c.peerIP, payload)
 	s.NIC.Send(netsim.Frame{Dst: c.peerMAC, Src: s.MAC, Data: buf})
+}
+
+// txFrame returns the scratch send buffer, zeroed and n bytes long.
+func (s *Server) txFrame(n int) []byte {
+	if cap(s.tx) < n {
+		s.tx = make([]byte, n)
+	}
+	clear(s.tx[:n])
+	return s.tx[:n]
 }
 
 // OpenConns returns the live connection count.

@@ -10,6 +10,8 @@ package msg
 
 import (
 	"fmt"
+	"math/bits"
+	"sync"
 
 	"repro/internal/core"
 )
@@ -21,11 +23,65 @@ const msgKmem = 64
 // pushed without copying.
 const DefaultHeadroom = 128
 
-// backing is the shared storage under one or more messages.
+// backing is the shared storage under one or more messages. When its
+// last reference goes, it returns to the pool of its size class.
 type backing struct {
-	data  []byte
+	data  []byte // len is the requested size: the kmem charge
 	refs  int
 	owner *core.Owner // charged for the storage bytes
+}
+
+// Recycled backings live in one sync.Pool per size class (the parallel
+// sweep runner shares this package across simulations). A class covers
+// a quarter of a power of two, so a request gets storage at most 25%
+// larger than it asked for; a miss allocates exactly the class size.
+// Backings above maxPooled bytes are left to the garbage collector.
+const (
+	minClassShift = 6  // class 0 holds 64-byte storage
+	maxClassShift = 16 // largest pooled storage: 64 KiB
+	maxPooled     = 1 << maxClassShift
+	numClasses    = 1 + 4*(maxClassShift-minClassShift)
+)
+
+var backings [numClasses]sync.Pool
+
+// sizeClass returns the pool class for an n-byte request and the storage
+// capacity of that class.
+func sizeClass(n int) (class, size int) {
+	if n <= 1<<minClassShift {
+		return 0, 1 << minClassShift
+	}
+	k := bits.Len(uint(n - 1)) // 2^(k-1) < n <= 2^k
+	step := 1 << (k - 3)
+	size = (n + step - 1) &^ (step - 1)
+	return 1 + 4*(k-1-minClassShift) + size>>(k-3) - 5, size
+}
+
+// newBacking returns n zeroed bytes of storage with one reference, to
+// be charged to owner by the caller.
+func newBacking(owner *core.Owner, n int) *backing {
+	if n > maxPooled {
+		return &backing{data: make([]byte, n), refs: 1, owner: owner}
+	}
+	class, size := sizeClass(n)
+	b, _ := backings[class].Get().(*backing)
+	if b == nil {
+		return &backing{data: make([]byte, n, size), refs: 1, owner: owner}
+	}
+	b.data = b.data[:n]
+	clear(b.data)
+	b.refs, b.owner = 1, owner
+	return b
+}
+
+// recycle returns storage whose last reference has gone to its pool.
+func (b *backing) recycle() {
+	if cap(b.data) > maxPooled {
+		return
+	}
+	b.owner = nil
+	class, _ := sizeClass(cap(b.data))
+	backings[class].Put(b)
 }
 
 // NetInfo is per-message network metadata filled in by lower stages as
@@ -37,12 +93,13 @@ type NetInfo struct {
 }
 
 // Msg is a network message: a window [head, tail) onto a shared backing.
+// Free nils the backing, so any later use panics rather than reading
+// storage that has been recycled.
 type Msg struct {
 	b     *backing
 	head  int
 	tail  int
 	owner *core.Owner
-	freed bool
 
 	// Net carries addressing metadata between stages; slices inherit it.
 	Net NetInfo
@@ -54,7 +111,7 @@ func New(owner *core.Owner, headroom, capacity int) *Msg {
 	if headroom < 0 || capacity < 0 {
 		panic("msg: negative size")
 	}
-	b := &backing{data: make([]byte, headroom+capacity), refs: 1, owner: owner}
+	b := newBacking(owner, headroom+capacity)
 	owner.ChargeKmem(uint64(len(b.data)) + msgKmem)
 	return &Msg{b: b, head: headroom, tail: headroom, owner: owner}
 }
@@ -70,14 +127,15 @@ func FromBytes(owner *core.Owner, data []byte) *Msg {
 func (m *Msg) Len() int { return m.tail - m.head }
 
 // Bytes returns the message contents. The slice aliases the backing; it
-// is valid until the message is freed.
+// is valid until the message is freed, after which the storage may be
+// recycled for another message.
 func (m *Msg) Bytes() []byte { return m.b.data[m.head:m.tail] }
 
 // Owner returns the owner charged for this message descriptor.
 func (m *Msg) Owner() *core.Owner { return m.owner }
 
 func (m *Msg) check(op string) {
-	if m.freed {
+	if m.b == nil {
 		panic(fmt.Sprintf("msg: %s on freed message", op))
 	}
 }
@@ -146,7 +204,7 @@ func (m *Msg) Extend(n int) []byte {
 // head and tail slack, releasing the old reference.
 func (m *Msg) realloc(headroom, tailroom int) {
 	cur := m.Bytes()
-	nb := &backing{data: make([]byte, headroom+len(cur)+tailroom), refs: 1, owner: m.owner}
+	nb := newBacking(m.owner, headroom+len(cur)+tailroom)
 	m.owner.ChargeKmem(uint64(len(nb.data)))
 	copy(nb.data[headroom:], cur)
 	m.releaseBacking()
@@ -174,25 +232,27 @@ func (m *Msg) Dup(chargeTo *core.Owner) *Msg {
 	return m.Slice(chargeTo, 0, m.Len())
 }
 
-// Free drops this reference; the backing's bytes are refunded when the
-// last reference goes.
+// Free drops this reference; the backing's bytes are refunded, and the
+// storage recycled, when the last reference goes.
 func (m *Msg) Free() {
-	if m.freed {
+	if m.b == nil {
 		panic("msg: double free")
 	}
-	m.freed = true
 	if !m.owner.Dead() {
 		m.owner.RefundKmem(msgKmem)
 	}
 	m.releaseBacking()
+	m.b = nil
 }
 
 func (m *Msg) releaseBacking() {
-	m.b.refs--
-	if m.b.refs == 0 {
-		if !m.b.owner.Dead() {
-			m.b.owner.RefundKmem(uint64(len(m.b.data)))
+	b := m.b
+	b.refs--
+	if b.refs == 0 {
+		if !b.owner.Dead() {
+			b.owner.RefundKmem(uint64(len(b.data)))
 		}
+		b.recycle()
 	}
 }
 

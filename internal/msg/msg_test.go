@@ -228,3 +228,110 @@ func TestKmemAlwaysBalances(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRecycledBackingReadsZero: storage a freed message leaves behind
+// is zeroed before a new message gets it, whatever the old one wrote.
+func TestRecycledBackingReadsZero(t *testing.T) {
+	o := owner()
+	for i := 0; i < 100; i++ {
+		m := New(o, DefaultHeadroom, 1000)
+		for _, b := range m.b.data {
+			if b != 0 {
+				t.Fatalf("round %d: fresh message storage holds %#x", i, b)
+			}
+		}
+		fill := m.Extend(1000)
+		for j := range fill {
+			fill[j] = 0xAB
+		}
+		copy(m.Push(4), "HDR:")
+		m.Free()
+	}
+}
+
+// TestSharedBackingOutlivesEarlierFrees: a backing shared through Slice
+// and Dup stays intact, and is not handed to a new message, until its
+// last reference is freed.
+func TestSharedBackingOutlivesEarlierFrees(t *testing.T) {
+	o := owner()
+	root := FromBytes(o, []byte("shared payload"))
+	dup := root.Dup(o)
+	slice := root.Slice(o, 7, 7)
+	b := root.b
+	root.Free()
+	dup.Free()
+	for i := 0; i < 100; i++ {
+		m := FromBytes(o, []byte("other bytes!!!"))
+		if m.b == b {
+			t.Fatal("a backing with a live reference was recycled")
+		}
+		defer m.Free()
+	}
+	if got := string(slice.Bytes()); got != "payload" {
+		t.Fatalf("slice reads %q after the other references were freed", got)
+	}
+	if slice.Refs() != 1 {
+		t.Fatalf("refs = %d, want 1", slice.Refs())
+	}
+	slice.Free()
+}
+
+// TestOpOnFreedMessagePanics: Free drops the descriptor's backing, so
+// every later operation panics instead of reading recycled storage.
+func TestOpOnFreedMessagePanics(t *testing.T) {
+	ops := map[string]func(m *Msg){
+		"Bytes":  func(m *Msg) { m.Bytes() },
+		"Push":   func(m *Msg) { m.Push(1) },
+		"Pop":    func(m *Msg) { m.Pop(1) },
+		"Trim":   func(m *Msg) { m.Trim(1) },
+		"Append": func(m *Msg) { m.Append([]byte("x")) },
+		"Extend": func(m *Msg) { m.Extend(1) },
+		"Slice":  func(m *Msg) { m.Slice(m.Owner(), 0, 1) },
+		"Dup":    func(m *Msg) { m.Dup(m.Owner()) },
+		"Refs":   func(m *Msg) { m.Refs() },
+		"Free":   func(m *Msg) { m.Free() },
+	}
+	for name, op := range ops {
+		t.Run(name, func(t *testing.T) {
+			m := FromBytes(owner(), []byte("abc"))
+			m.Free()
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s on a freed message did not panic", name)
+				}
+			}()
+			op(m)
+		})
+	}
+}
+
+// TestKmemChargesByLength pins the kmem each operation charges: the
+// requested storage length plus the descriptor, never the pooled
+// capacity behind it, so recycling changes no simulated charge.
+func TestKmemChargesByLength(t *testing.T) {
+	o := owner()
+	m := New(o, 10, 1000) // capacity rounds up to a 1024-byte class
+	if got, want := o.Counters.Kmem, uint64(10+1000+msgKmem); got != want {
+		t.Fatalf("New: kmem = %d, want %d", got, want)
+	}
+	m.Append([]byte("abc"))
+	m.Push(20) // beyond the 10-byte headroom: realloc with 20+128 head room
+	pushed := uint64(20 + DefaultHeadroom + 3)
+	if got, want := o.Counters.Kmem, pushed+msgKmem; got != want {
+		t.Fatalf("Push realloc: kmem = %d, want %d", got, want)
+	}
+	d := m.Dup(o)
+	m.Extend(5) // shared backing: realloc keeping the 128-byte head, 5+256 tail
+	extended := uint64(DefaultHeadroom + 23 + 5 + 256)
+	if got, want := o.Counters.Kmem, pushed+extended+2*msgKmem; got != want {
+		t.Fatalf("Extend realloc: kmem = %d, want %d", got, want)
+	}
+	d.Free()
+	if got, want := o.Counters.Kmem, extended+msgKmem; got != want {
+		t.Fatalf("after Free of the dup: kmem = %d, want %d", got, want)
+	}
+	m.Free()
+	if o.Counters.Kmem != 0 {
+		t.Fatalf("kmem leaked: %d", o.Counters.Kmem)
+	}
+}

@@ -9,7 +9,10 @@ package netsim
 
 import (
 	"fmt"
+	"math"
+	"sync"
 
+	"repro/internal/lib"
 	"repro/internal/sim"
 )
 
@@ -27,10 +30,15 @@ func (m MAC) String() string {
 		byte(m>>40), byte(m>>32), byte(m>>24), byte(m>>16), byte(m>>8), byte(m))
 }
 
-// Frame is a raw Ethernet frame (header included in Data).
+// Frame is a raw Ethernet frame (header included in Data). A frame
+// handed to Rx is valid only for the duration of the call: its Data is
+// a recycled wire buffer that another frame reuses once every medium
+// holding it has delivered.
 type Frame struct {
 	Dst, Src MAC
 	Data     []byte
+
+	w *wireBuf // the wire buffer Data lives in, for a frame on the wire
 }
 
 // MaxFrame is the Ethernet maximum frame size (1500 MTU + 14 header).
@@ -77,7 +85,9 @@ func NewNIC(name string, mac MAC) *NIC {
 // Send transmits a frame onto the attached segment. Oversized frames are
 // dropped (and counted), as the hardware would; it reports whether the
 // frame made it onto the wire so the driver layer can attribute the
-// drop to the owner that produced the frame.
+// drop to the owner that produced the frame. Send copies f.Data onto
+// the wire, so the caller keeps its buffer; a frame already on the wire
+// (a bridge re-sending what it received) shares its wire buffer instead.
 func (n *NIC) Send(f Frame) bool {
 	if n.seg == nil {
 		panic("netsim: send on detached NIC " + n.Name)
@@ -88,7 +98,10 @@ func (n *NIC) Send(f Frame) bool {
 	}
 	n.TxFrames++
 	n.TxBytes += uint64(len(f.Data))
+	w := f.wire()
+	f.Data, f.w = w.b, w
 	n.seg.Send(n, f)
+	w.release()
 	return true
 }
 
@@ -111,16 +124,96 @@ func (n *NIC) deliver(f Frame) {
 	}
 }
 
+// wireBuf is the refcounted storage of a frame on the wire: the sending
+// NIC and each medium carrying the frame hold a reference, and the last
+// release returns the buffer to its pool. Every buffer belongs to one
+// simulation at a time, so the count needs no atomics; the sync.Pool
+// lets the parallel sweep runner's simulations share the package.
+type wireBuf struct {
+	refs int
+	b    []byte // the frame's bytes
+}
+
+var wireBufs sync.Pool
+
+// wire returns a wire buffer holding f's bytes, with a reference for
+// the caller: a frame already on the wire shares its buffer, any other
+// frame is copied into a recycled one.
+func (f *Frame) wire() *wireBuf {
+	if w := f.w; w != nil && len(f.Data) == len(w.b) && len(f.Data) > 0 && &f.Data[0] == &w.b[0] {
+		w.refs++
+		return w
+	}
+	if len(f.Data) > MaxFrame {
+		panic("netsim: oversized frame on the wire")
+	}
+	w, _ := wireBufs.Get().(*wireBuf)
+	if w == nil || cap(w.b) < len(f.Data) {
+		w = newWireBuf(len(f.Data))
+	}
+	w.refs = 1
+	w.b = w.b[:len(f.Data)]
+	copy(w.b, f.Data)
+	return w
+}
+
+// newWireBuf allocates a buffer that fits an n-byte frame. It is sized
+// to the frame, not to MaxFrame, because topology setup sends a few
+// small frames into buffers that are never recycled if the simulation
+// never runs. A pooled buffer too small for the frame is dropped, so the
+// pool keeps buffers as large as the frames they carry.
+//
+//escort:coldpath wire-buffer pool miss or undersized pooled buffer: bounded by the frames in flight at the peak, then recycled
+func newWireBuf(n int) *wireBuf {
+	return &wireBuf{b: make([]byte, 0, n)}
+}
+
+// release drops one reference, recycling the buffer after the last.
+func (w *wireBuf) release() {
+	w.refs--
+	if w.refs == 0 {
+		w.b = w.b[:0]
+		wireBufs.Put(w)
+	}
+}
+
+// receiver is what sits at the far end of a medium: the hub's stations,
+// a switch's forwarding logic, or a switch port's station.
+type receiver interface {
+	receive(src *NIC, f Frame)
+}
+
+// receive implements receiver for a switch port's station side.
+func (n *NIC) receive(_ *NIC, f Frame) { n.deliver(f) }
+
+// flight is one frame on a medium, its Data in its wire buffer, and the
+// NIC that sent it.
+type flight struct {
+	src *NIC
+	f   Frame
+}
+
 // medium models one serialized transmission resource: a half-duplex
-// shared wire (hub) or one direction of a switch port.
+// shared wire (hub) or one direction of a switch port. A medium delivers
+// in FIFO order (busyUntil is monotone and prop constant), so frames in
+// flight wait in a ring and every delivery event runs the same
+// callback, bound once at construction.
 type medium struct {
 	eng        *sim.Engine
 	cyclesPer8 sim.Cycles // cycles per byte (8 bits)
 	prop       sim.Cycles
 	busyUntil  sim.Cycles
+	to         receiver
+	inflight   lib.Ring[flight]
+	arrive     func()
 }
 
-func newMedium(eng *sim.Engine, bitsPerSec uint64, prop sim.Cycles) *medium {
+// init sets up a medium, held by value in its hub or switch port,
+// delivering to to. Its one delivery callback is bound here, so
+// transmit allocates nothing.
+//
+//escort:coldpath constructor, topology setup
+func (m *medium) init(eng *sim.Engine, bitsPerSec uint64, prop sim.Cycles, to receiver) {
 	if bitsPerSec == 0 {
 		panic("netsim: zero bandwidth")
 	}
@@ -128,26 +221,38 @@ func newMedium(eng *sim.Engine, bitsPerSec uint64, prop sim.Cycles) *medium {
 	if cyclesPerByte == 0 {
 		cyclesPerByte = 1
 	}
-	return &medium{eng: eng, cyclesPer8: cyclesPerByte, prop: prop} //escort:coldpath constructor, topology setup
+	*m = medium{eng: eng, cyclesPer8: cyclesPerByte, prop: prop, to: to, inflight: lib.MakeRing[flight](math.MaxInt)}
+	m.arrive = m.deliverNext
 }
 
-// transmit schedules deliver at the time the frame finishes arriving.
-func (m *medium) transmit(size int, deliver func()) {
+// transmit puts f on the medium: it arrives at the receiver once the
+// frame has serialized behind everything already queued, plus the
+// propagation delay.
+func (m *medium) transmit(src *NIC, f Frame) {
 	now := m.eng.Now()
 	start := m.busyUntil
 	if start < now {
 		start = now
 	}
-	txTime := sim.Cycles(size) * m.cyclesPer8
+	txTime := sim.Cycles(len(f.Data)) * m.cyclesPer8
 	m.busyUntil = start + txTime
-	m.eng.AtTime(m.busyUntil+m.prop, deliver)
+	w := f.wire()
+	f.Data, f.w = w.b, w
+	_ = m.inflight.Enqueue(flight{src: src, f: f})
+	m.eng.AtTime(m.busyUntil+m.prop, m.arrive)
+}
+
+// deliverNext hands the oldest frame in flight to the receiver.
+func (m *medium) deliverNext() {
+	fl, _ := m.inflight.Dequeue()
+	m.to.receive(fl.src, fl.f)
+	fl.f.w.release()
 }
 
 // Hub is a shared-medium repeater: every frame occupies the single
 // 100 Mbps wire and reaches every attached NIC except the sender.
 type Hub struct {
-	eng  *sim.Engine
-	med  *medium
+	med  medium
 	nics []*NIC
 }
 
@@ -155,7 +260,9 @@ type Hub struct {
 //
 //escort:coldpath constructor, topology setup
 func NewHub(eng *sim.Engine, bitsPerSec uint64, prop sim.Cycles) *Hub {
-	return &Hub{eng: eng, med: newMedium(eng, bitsPerSec, prop)}
+	h := &Hub{}
+	h.med.init(eng, bitsPerSec, prop, h)
+	return h
 }
 
 // Attach implements Segment.
@@ -167,14 +274,16 @@ func (h *Hub) Attach(n *NIC) {
 }
 
 // Send implements Segment.
-func (h *Hub) Send(src *NIC, f Frame) {
-	h.med.transmit(len(f.Data), func() { //escort:coldpath per-frame delivery closure; needs an arg-carrying engine callback to remove (ROADMAP: allocation-free packet path)
-		for _, n := range h.nics {
-			if n != src {
-				n.deliver(f)
-			}
+func (h *Hub) Send(src *NIC, f Frame) { h.med.transmit(src, f) }
+
+// receive implements receiver: a frame off the shared wire reaches every
+// attached NIC except the sender.
+func (h *Hub) receive(src *NIC, f Frame) {
+	for _, n := range h.nics {
+		if n != src {
+			n.deliver(f)
 		}
-	})
+	}
 }
 
 // Switch is a store-and-forward learning switch: each port is a
@@ -189,8 +298,8 @@ type Switch struct {
 
 type swPort struct {
 	nic     *NIC
-	toNIC   *medium // switch -> station
-	fromNIC *medium // station -> switch
+	toNIC   medium // switch -> station
+	fromNIC medium // station -> switch
 	sw      *Switch
 }
 
@@ -205,12 +314,9 @@ func NewSwitch(eng *sim.Engine, bitsPerSec uint64, prop sim.Cycles) *Switch {
 //
 //escort:coldpath topology setup, once per NIC
 func (s *Switch) Attach(n *NIC) {
-	p := &swPort{
-		nic:     n,
-		toNIC:   newMedium(s.eng, s.bps, s.prop),
-		fromNIC: newMedium(s.eng, s.bps, s.prop),
-		sw:      s,
-	}
+	p := &swPort{nic: n, sw: s}
+	p.toNIC.init(s.eng, s.bps, s.prop, n)
+	p.fromNIC.init(s.eng, s.bps, s.prop, p)
 	s.ports = append(s.ports, p)
 	n.seg = portSegment{p}
 }
@@ -218,19 +324,17 @@ func (s *Switch) Attach(n *NIC) {
 type portSegment struct{ p *swPort }
 
 // Send implements Segment: station -> switch, then forward.
-func (ps portSegment) Send(src *NIC, f Frame) {
-	p := ps.p
-	p.fromNIC.transmit(len(f.Data), func() { //escort:coldpath per-frame delivery closure; see Hub.Send
-		p.sw.forward(p, f)
-	})
-}
+func (ps portSegment) Send(src *NIC, f Frame) { ps.p.fromNIC.transmit(src, f) }
+
+// receive implements receiver for the station -> switch direction.
+func (p *swPort) receive(_ *NIC, f Frame) { p.sw.forward(p, f) }
 
 func (s *Switch) forward(in *swPort, f Frame) {
 	s.table[f.Src] = in
 	if f.Dst != Broadcast {
 		if out, ok := s.table[f.Dst]; ok {
 			if out != in {
-				out.toNIC.transmit(len(f.Data), func() { out.nic.deliver(f) }) //escort:coldpath per-frame delivery closure; see Hub.Send
+				out.toNIC.transmit(in.nic, f)
 			}
 			return
 		}
@@ -240,8 +344,7 @@ func (s *Switch) forward(in *swPort, f Frame) {
 		if out == in {
 			continue
 		}
-		out := out
-		out.toNIC.transmit(len(f.Data), func() { out.nic.deliver(f) }) //escort:coldpath per-frame delivery closure; see Hub.Send
+		out.toNIC.transmit(in.nic, f)
 	}
 }
 

@@ -36,7 +36,7 @@ func (mgr *Manager) Demux(entry string, m *msg.Msg) (*Path, module.Verdict) {
 func (mgr *Manager) demux(entry string, m *msg.Msg) (*Path, module.Verdict) {
 	k := mgr.k
 	model := k.Model()
-	dc := &module.DemuxCtx{Graph: mgr.graph}
+	dc := &mgr.dc
 
 	// The device interrupt prologue is part of the per-datagram cost and
 	// is charged with the demux time to the identified path (or to the
@@ -48,7 +48,6 @@ func (mgr *Manager) demux(entry string, m *msg.Msg) (*Path, module.Verdict) {
 		if !ok {
 			panic("path: demux at unknown module " + cur)
 		}
-		dc.Steps = append(dc.Steps, cur)
 		cycles += model.DemuxPerModule
 		if k.TLB().Touch(node.Domain().ID()) {
 			cycles += model.TLBMissPenalty

@@ -107,6 +107,15 @@ func (p *Path) StageAt(i int) module.Stage { return p.stages[i].Stage }
 // Handle returns the stage handle at index i.
 func (p *Path) Handle(i int) module.StageHandle { return p.handles[i] }
 
+// graph returns the stage records of a live path. A dead path has
+// released them (see dropPath), so any stage access on it is a bug.
+func (p *Path) graph() []StageRec {
+	if p.stages == nil {
+		panic("path: stage access on dead path " + p.name)
+	}
+	return p.stages
+}
+
 // FindStage implements module.PathRef.
 func (p *Path) FindStage(name string) (int, bool) {
 	for i, rec := range p.stages {
@@ -266,10 +275,11 @@ func (p *Path) worker(ctx *kernel.Ctx) {
 // six-stage path in the worst-case configuration really performs the
 // paper's per-boundary crossings.
 func (p *Path) deliverFrom(ctx *kernel.Ctx, idx int, dir module.Direction, m *msg.Msg) error {
-	if idx < 0 || idx >= len(p.stages) {
+	stages := p.graph()
+	if idx < 0 || idx >= len(stages) {
 		return nil
 	}
-	rec := p.stages[idx]
+	rec := stages[idx]
 	var err error
 	ctx.Cross(rec.Node.Domain().ID(), func() {
 		forward, derr := rec.Stage.Deliver(ctx, dir, m)
@@ -310,17 +320,19 @@ func (h *stageHandle) SendUp(ctx *kernel.Ctx, m *msg.Msg) error {
 }
 
 func (h *stageHandle) Below() module.Stage {
-	if h.idx+1 >= len(h.p.stages) {
+	stages := h.p.graph()
+	if h.idx+1 >= len(stages) {
 		return nil
 	}
-	return h.p.stages[h.idx+1].Stage
+	return stages[h.idx+1].Stage
 }
 
 func (h *stageHandle) Above() module.Stage {
+	stages := h.p.graph()
 	if h.idx == 0 {
 		return nil
 	}
-	return h.p.stages[h.idx-1].Stage
+	return stages[h.idx-1].Stage
 }
 
 // builder implements module.PathBuilder during incremental creation.
@@ -348,6 +360,7 @@ func (b *builder) NodeAt(i int) *module.Node { return b.p.stages[i].Node }
 type Manager struct {
 	k       *kernel.Kernel
 	graph   *module.Graph
+	dc      module.DemuxCtx // shared by every demux
 	paths   map[*Path]struct{}
 	order   []*Path // live paths in creation order (deterministic iteration)
 	byOwner map[*core.Owner]*Path
@@ -371,6 +384,7 @@ func NewManager(g *module.Graph) *Manager {
 	return &Manager{
 		k:        g.Kernel(),
 		graph:    g,
+		dc:       module.DemuxCtx{Graph: g},
 		paths:    make(map[*Path]struct{}),
 		byOwner:  make(map[*core.Owner]*Path),
 		tracer:   g.Kernel().Tracer(),
@@ -384,8 +398,12 @@ func (mgr *Manager) Paths() []*Path {
 	return append([]*Path(nil), mgr.order...)
 }
 
-// dropPath removes p from the live-path bookkeeping.
+// dropPath removes p from the live-path bookkeeping and releases its
+// stage graph: the ledger keeps every dead path's Owner (and so the Path
+// header) reachable, but nothing else of it. Stage access on a dead path
+// then fails loudly instead of reaching torn-down module state.
 func (mgr *Manager) dropPath(p *Path) {
+	p.stages, p.handles, p.allowed = nil, nil, nil
 	delete(mgr.paths, p)
 	delete(mgr.byOwner, &p.Owner)
 	for i, q := range mgr.order {

@@ -601,3 +601,44 @@ func TestLedgerConservationThroughPathActivity(t *testing.T) {
 		t.Fatalf("unaccounted = %d of %d", d.Unaccounted(), d.Measured)
 	}
 }
+
+// TestDeadPathReleasesStageGraph: Destroy and Kill drop the path's
+// stages, handles and crossings table, so the ledger's reference to a
+// dead path's Owner keeps only the Path header alive, and any stage
+// access on the dead path panics.
+func TestDeadPathReleasesStageGraph(t *testing.T) {
+	for _, end := range []string{"Destroy", "Kill"} {
+		t.Run(end, func(t *testing.T) {
+			app, mid, dev := chain()
+			appFirst(app, mid, dev)
+			e := buildEnv(t, true, app, mid, dev)
+			p := createPath(t, e)
+			h := p.Handle(1)
+			if end == "Destroy" {
+				e.mgr.Destroy(nil, p)
+			} else {
+				e.mgr.Kill(p)
+			}
+			if p.stages != nil || p.handles != nil || p.allowed != nil {
+				t.Fatalf("dead path still holds stages=%v handles=%v allowed=%v", p.stages, p.handles, p.allowed)
+			}
+			for name, op := range map[string]func(){
+				"StageAt":  func() { p.StageAt(0) },
+				"Handle":   func() { p.Handle(0) },
+				"Below":    func() { h.Below() },
+				"Above":    func() { h.Above() },
+				"SendDown": func() { _ = h.SendDown(nil, msg.FromBytes(e.k.KernelOwner(), []byte("late"))) },
+				"SendUp":   func() { _ = h.SendUp(nil, msg.FromBytes(e.k.KernelOwner(), []byte("late"))) },
+			} {
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("%s on a dead path did not panic", name)
+						}
+					}()
+					op()
+				}()
+			}
+		})
+	}
+}

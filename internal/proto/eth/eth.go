@@ -135,18 +135,19 @@ func (s *stage) Deliver(ctx *kernel.Ctx, dir module.Direction, mm *msg.Msg) (boo
 		return true, nil
 	}
 	// Down: frame out the device. The copy onto the (simulated) wire is
-	// the per-byte cost.
+	// the per-byte cost; NIC.Send makes it, so the frame can alias the
+	// message.
 	var frame netsim.Frame
 	if s.raw {
 		h, err := wire.ParseEth(mm.Bytes())
 		if err != nil {
 			return false, err
 		}
-		frame = netsim.Frame{Dst: h.Dst, Src: h.Src, Data: append([]byte(nil), mm.Bytes()...)}
+		frame = netsim.Frame{Dst: h.Dst, Src: h.Src, Data: mm.Bytes()}
 	} else {
 		hdr := mm.Push(wire.EthLen)
 		wire.PutEth(hdr, wire.Eth{Dst: s.peer, Src: s.mod.nic.Mac, EtherType: wire.EtherTypeIPv4})
-		frame = netsim.Frame{Dst: s.peer, Src: s.mod.nic.Mac, Data: append([]byte(nil), mm.Bytes()...)}
+		frame = netsim.Frame{Dst: s.peer, Src: s.mod.nic.Mac, Data: mm.Bytes()}
 	}
 	ctx.Use(sim.Cycles(len(frame.Data)) * model.PerByte)
 	if !s.mod.nic.Send(frame) {

@@ -5,6 +5,7 @@
 package http
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 
@@ -103,8 +104,24 @@ type stage struct {
 	streamRate int
 	cgiSpin    sim.Cycles
 
-	req     []byte
+	req     request
 	handled bool
+}
+
+// headerEnd is the blank line that ends a request's header.
+var headerEnd = []byte("\r\n\r\n")
+
+// request assembles a request from the segments that carry it.
+type request struct{ buf []byte }
+
+// add appends p and reports whether the header is now complete. Earlier
+// calls found no blank line, so a new one ends inside p: only p and the
+// three bytes before it are scanned, which keeps a request trickled in
+// one byte at a time linear rather than quadratic.
+func (r *request) add(p []byte) bool {
+	from := max(len(r.buf)-(len(headerEnd)-1), 0)
+	r.buf = append(r.buf, p...)
+	return bytes.Contains(r.buf[from:], headerEnd)
 }
 
 // Deliver implements module.Stage: assemble the request, then serve it.
@@ -117,15 +134,14 @@ func (s *stage) Deliver(ctx *kernel.Ctx, dir module.Direction, mm *msg.Msg) (boo
 	if s.handled {
 		return false, nil
 	}
-	s.req = append(s.req, mm.Bytes()...)
-	if !strings.Contains(string(s.req), "\r\n\r\n") {
+	if !s.req.add(mm.Bytes()) {
 		return false, nil // wait for the rest of the request
 	}
 	s.handled = true
 	ctx.Use(model.HTTPParse + s.k.AccountingTax())
 	s.mod.Requests++
 
-	target, ok := parseRequestLine(string(s.req))
+	target, ok := parseRequestLine(s.req.buf)
 	if !ok {
 		return false, s.respond(ctx, "400 Bad Request", []byte("bad request"))
 	}
@@ -151,16 +167,16 @@ func (s *stage) Deliver(ctx *kernel.Ctx, dir module.Direction, mm *msg.Msg) (boo
 }
 
 // parseRequestLine extracts the target of a GET request.
-func parseRequestLine(req string) (string, bool) {
-	line, _, ok := strings.Cut(req, "\r\n")
+func parseRequestLine(req []byte) (string, bool) {
+	line, _, ok := bytes.Cut(req, []byte("\r\n"))
 	if !ok {
 		return "", false
 	}
-	parts := strings.Fields(line)
-	if len(parts) < 2 || parts[0] != "GET" {
+	parts := bytes.Fields(line)
+	if len(parts) < 2 || string(parts[0]) != "GET" {
 		return "", false
 	}
-	return parts[1], true
+	return string(parts[1]), true
 }
 
 func (s *stage) serveFile(ctx *kernel.Ctx, target string) error {

@@ -1,6 +1,10 @@
 package wire
 
-import "testing"
+import (
+	"bytes"
+	"encoding/binary"
+	"testing"
+)
 
 // FuzzPuzzleSolved drives verification with arbitrary difficulty,
 // including the shift counts that used to wrap the mask: before the
@@ -46,4 +50,84 @@ func FuzzPuzzleRoundTrip(f *testing.F) {
 				start, seq)
 		}
 	})
+}
+
+// FuzzWireDecode throws arbitrary bytes at the decoders that see
+// attacker frames. ParseEth, ParseARP, ParseIPv4 and ParseTCP must
+// never panic, whether they are handed the raw bytes or the layered
+// view a receiver takes (Ethernet payload, then the IPv4 payload
+// checked against the IPv4 addresses). The same bytes then seed header
+// fields and a payload for a Put* → Parse* round trip, which must
+// decode to exactly what was encoded.
+func FuzzWireDecode(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(make([]byte, EthLen+IPv4Len+TCPLen))
+	f.Add(roundTripFrame(Eth{Dst: 0x0200_0000_0001, Src: 0x0200_0000_1001, EtherType: EtherTypeIPv4},
+		IPv4{TotalLen: IPv4Len + TCPLen + 5, ID: 7, TTL: 64, Proto: ProtoTCP, Src: 0x0a000101, Dst: 0x0a000001},
+		TCP{SrcPort: 1024, DstPort: 80, Seq: 1, Ack: 2, Flags: FlagACK | FlagPSH, Window: 64000},
+		[]byte("GET /")))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0, 1, 0x08, 0x06, 0, 1, 8, 0, 6, 4, 0, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		srcIP, dstIP := uint32(0x0a000101), uint32(0x0a000001)
+		ParseEth(data)
+		ParseARP(data)
+		ParseIPv4(data)
+		ParseTCP(data, srcIP, dstIP)
+		if _, err := ParseEth(data); err == nil {
+			b := data[EthLen:]
+			ParseARP(b)
+			if iph, err := ParseIPv4(b); err == nil {
+				seg := b[IPv4Len:]
+				if int(iph.TotalLen) >= IPv4Len && int(iph.TotalLen) <= len(b) {
+					seg = b[IPv4Len:iph.TotalLen]
+				}
+				ParseTCP(seg, iph.Src, iph.Dst)
+			}
+		}
+
+		// Round trip: header fields from the first 48 bytes (zero
+		// padded), the rest as payload, capped at one segment.
+		var s [48]byte
+		copy(s[:], data)
+		eh := Eth{Dst: getMAC(s[0:6]), Src: getMAC(s[6:12]), EtherType: binary.BigEndian.Uint16(s[12:14])}
+		ih := IPv4{
+			TotalLen: binary.BigEndian.Uint16(s[14:16]), ID: binary.BigEndian.Uint16(s[16:18]),
+			TTL: s[18], Proto: s[19],
+			Src: binary.BigEndian.Uint32(s[20:24]), Dst: binary.BigEndian.Uint32(s[24:28]),
+		}
+		th := TCP{
+			SrcPort: binary.BigEndian.Uint16(s[28:30]), DstPort: binary.BigEndian.Uint16(s[30:32]),
+			Seq: binary.BigEndian.Uint32(s[32:36]), Ack: binary.BigEndian.Uint32(s[36:40]),
+			Flags: s[40], Window: binary.BigEndian.Uint16(s[41:43]),
+		}
+		payload := data[min(len(data), len(s)):]
+		payload = payload[:min(len(payload), MSS)]
+		frame := roundTripFrame(eh, ih, th, payload)
+
+		gotEth, err := ParseEth(frame)
+		if err != nil || gotEth != eh {
+			t.Fatalf("ParseEth(PutEth(%+v)) = %+v, %v", eh, gotEth, err)
+		}
+		gotIP, err := ParseIPv4(frame[EthLen:])
+		if err != nil || gotIP != ih {
+			t.Fatalf("ParseIPv4(PutIPv4(%+v)) = %+v, %v", ih, gotIP, err)
+		}
+		gotTCP, off, err := ParseTCP(frame[EthLen+IPv4Len:], ih.Src, ih.Dst)
+		if err != nil || gotTCP != th || off != TCPLen {
+			t.Fatalf("ParseTCP(PutTCP(%+v)) = %+v, %d, %v", th, gotTCP, off, err)
+		}
+		if !bytes.Equal(frame[EthLen+IPv4Len+off:], payload) {
+			t.Fatal("payload changed in the round trip")
+		}
+	})
+}
+
+// roundTripFrame encodes an Ethernet/IPv4/TCP frame carrying payload.
+func roundTripFrame(eh Eth, ih IPv4, th TCP, payload []byte) []byte {
+	b := make([]byte, EthLen+IPv4Len+TCPLen+len(payload))
+	PutEth(b, eh)
+	PutIPv4(b[EthLen:], ih)
+	PutTCP(b[EthLen+IPv4Len:EthLen+IPv4Len+TCPLen], th, ih.Src, ih.Dst, payload)
+	copy(b[EthLen+IPv4Len+TCPLen:], payload)
+	return b
 }

@@ -58,6 +58,7 @@ type Station struct {
 	issSeq   uint32
 	rng      *sim.Rand
 	arpTries int
+	tx       []byte // scratch send buffer; NIC.Send copies it onto the wire
 }
 
 // NewStation creates a station and attaches its NIC to seg.
@@ -96,7 +97,7 @@ func (s *Station) Resolve(fn func()) {
 }
 
 func (s *Station) sendARPRequest() {
-	buf := make([]byte, wire.EthLen+wire.ARPLen)
+	buf := s.txFrame(wire.EthLen + wire.ARPLen)
 	wire.PutEth(buf, wire.Eth{Dst: netsim.Broadcast, Src: s.MAC, EtherType: wire.EtherTypeARP})
 	wire.PutARP(buf[wire.EthLen:], wire.ARP{
 		Op: wire.ARPRequest, SenderMAC: s.MAC, SenderIP: s.IP, TargetIP: s.ServerIP,
@@ -146,7 +147,7 @@ func (s *Station) rxARP(b []byte) {
 		}
 	case wire.ARPRequest:
 		if a.TargetIP == s.IP {
-			buf := make([]byte, wire.EthLen+wire.ARPLen)
+			buf := s.txFrame(wire.EthLen + wire.ARPLen)
 			wire.PutEth(buf, wire.Eth{Dst: a.SenderMAC, Src: s.MAC, EtherType: wire.EtherTypeARP})
 			wire.PutARP(buf[wire.EthLen:], wire.ARP{
 				Op: wire.ARPReply, SenderMAC: s.MAC, SenderIP: s.IP,
@@ -192,7 +193,7 @@ func (s *Station) nextPort() uint16 {
 
 // sendTCP emits one segment to the server.
 func (s *Station) sendTCP(localPort, remotePort uint16, flags byte, seq, ack uint32, payload []byte) {
-	buf := make([]byte, wire.EthLen+wire.IPv4Len+wire.TCPLen+len(payload))
+	buf := s.txFrame(wire.EthLen + wire.IPv4Len + wire.TCPLen + len(payload))
 	copy(buf[wire.EthLen+wire.IPv4Len+wire.TCPLen:], payload)
 	wire.PutEth(buf, wire.Eth{Dst: s.serverMAC, Src: s.MAC, EtherType: wire.EtherTypeIPv4})
 	wire.PutIPv4(buf[wire.EthLen:], wire.IPv4{
@@ -212,6 +213,15 @@ func (s *Station) sendTCP(localPort, remotePort uint16, flags byte, seq, ack uin
 		Window:  64000,
 	}, s.IP, s.ServerIP, payload)
 	s.NIC.Send(netsim.Frame{Dst: s.serverMAC, Src: s.MAC, Data: buf})
+}
+
+// txFrame returns the scratch send buffer, zeroed and n bytes long.
+func (s *Station) txFrame(n int) []byte {
+	if cap(s.tx) < n {
+		s.tx = make([]byte, n)
+	}
+	clear(s.tx[:n])
+	return s.tx[:n]
 }
 
 // Client connection states.
