@@ -61,9 +61,13 @@ bench-parity:
 
 # bench-smoke is the CI guard: one iteration of every Figure 8
 # benchmark under the race detector, so the parallel sweep path stays
-# race-clean without paying for a full benchmark run.
+# race-clean without paying for a full benchmark run, then one
+# iteration of the bulk-transfer layer benchmarks (checksum, TLB
+# crossing, path create/destroy), so they keep compiling and running.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Fig8' -benchtime 1x -race .
+	$(GO) test -run '^$$' -bench 'Checksum1460|TLBCrossing|PathCreateDestroy' -benchtime 1x -benchmem \
+	  ./internal/proto/wire ./internal/domain ./internal/escort
 
 # chaos-smoke is the CI soak: the kitchen-sink fault mix (network
 # faults + failpoints + watchdog + shedding) against the Figure 8

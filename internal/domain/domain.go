@@ -165,30 +165,37 @@ func (r *Registry) Destroy(d *Domain) {
 // Accounting_PD slowdown under SYN flood) is that work touching a domain
 // right after a flush pays a reload penalty. Warmth is tracked per
 // domain: the first touch after a flush is cold.
+//
+// Every crossing flushes, so a flush must cost nothing: the flush count
+// is the TLB's epoch, each domain's slot holds the epoch of its last
+// touch, and a domain is warm when its slot is the current epoch.
+// Domain IDs are dense, so the slots are a slice indexed by ID.
 type TLB struct {
-	warm    map[ID]bool
+	touched []uint64 // by domain ID: flush count at the last touch
 	flushes uint64
 	misses  uint64
 }
 
 // NewTLB returns a warm-empty TLB.
 func NewTLB() *TLB {
-	return &TLB{warm: make(map[ID]bool)}
+	return &TLB{}
 }
 
 // Flush invalidates all mappings (charged by the crossing gate).
 func (t *TLB) Flush() {
 	t.flushes++
-	clear(t.warm)
 }
 
 // Touch records execution in a domain and reports whether its mappings
 // were cold (the caller charges the miss penalty if so).
 func (t *TLB) Touch(id ID) (cold bool) {
-	if t.warm[id] {
+	for int(id) >= len(t.touched) {
+		t.touched = append(t.touched, ^uint64(0)) // no epoch: never touched
+	}
+	if t.touched[id] == t.flushes {
 		return false
 	}
-	t.warm[id] = true
+	t.touched[id] = t.flushes
 	t.misses++
 	return true
 }

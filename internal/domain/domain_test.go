@@ -1,6 +1,7 @@
 package domain
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/core"
@@ -133,5 +134,64 @@ func TestTLBWarmth(t *testing.T) {
 	flushes, misses := tlb.Stats()
 	if flushes != 1 || misses != 4 {
 		t.Fatalf("stats = %d flushes %d misses", flushes, misses)
+	}
+}
+
+// TestTLBMatchesMapModel runs a random Touch/Flush sequence in lockstep
+// against the plain model the epoch TLB replaces: a set of warm domains
+// that a flush empties. Every cold verdict and the final counts agree.
+func TestTLBMatchesMapModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	tlb := NewTLB()
+	warm := map[ID]bool{}
+	var flushes, misses uint64
+	for i := 0; i < 100_000; i++ {
+		if rng.Intn(4) == 0 {
+			tlb.Flush()
+			clear(warm)
+			flushes++
+			continue
+		}
+		id := ID(rng.Intn(12))
+		want := !warm[id]
+		if want {
+			warm[id] = true
+			misses++
+		}
+		if got := tlb.Touch(id); got != want {
+			t.Fatalf("step %d: Touch(%d) cold = %v, model says %v", i, id, got, want)
+		}
+	}
+	if f, m := tlb.Stats(); f != flushes || m != misses {
+		t.Fatalf("Stats() = %d flushes %d misses, model %d %d", f, m, flushes, misses)
+	}
+}
+
+// TestTLBAllocatesNothing: a crossing's flush and a warm touch are free
+// on the host.
+func TestTLBAllocatesNothing(t *testing.T) {
+	tlb := NewTLB()
+	tlb.Touch(3)
+	if allocs := testing.AllocsPerRun(100, func() { tlb.Touch(3) }); allocs != 0 {
+		t.Fatalf("warm Touch allocates %.1f times", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, tlb.Flush); allocs != 0 {
+		t.Fatalf("Flush allocates %.1f times", allocs)
+	}
+}
+
+// BenchmarkTLBCrossing prices the TLB work of one protection-domain
+// call: flush and touch the target on entry, flush and touch the
+// caller's domain on return.
+func BenchmarkTLBCrossing(b *testing.B) {
+	tlb := NewTLB()
+	tlb.Touch(2) // size the stamps before timing
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tlb.Flush()
+		tlb.Touch(2)
+		tlb.Flush()
+		tlb.Touch(1)
 	}
 }

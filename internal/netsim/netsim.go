@@ -330,7 +330,11 @@ func (ps portSegment) Send(src *NIC, f Frame) { ps.p.fromNIC.transmit(src, f) }
 func (p *swPort) receive(_ *NIC, f Frame) { p.sw.forward(p, f) }
 
 func (s *Switch) forward(in *swPort, f Frame) {
-	s.table[f.Src] = in
+	// Learn the source port; in steady state it is already known, and
+	// a map read is cheaper than an assign.
+	if s.table[f.Src] != in {
+		s.table[f.Src] = in
+	}
 	if f.Dst != Broadcast {
 		if out, ok := s.table[f.Dst]; ok {
 			if out != in {

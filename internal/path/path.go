@@ -10,8 +10,10 @@
 package path
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/domain"
@@ -58,19 +60,23 @@ type StageRec struct {
 }
 
 // Path is the path object (Figure 6): the Owner structure is its first
-// element, followed by the allowed protection-domain crossings, the
-// stage list, the work queue, thread pool, and the reference count that
-// delays pathDestroy (but never pathKill). Figure 6 draws four queues,
-// input and output at each end; this simulator only ever queues inbound
-// and control work at the network end, so a path carries that one.
+// element, followed by the allowed protection-domain crossings (shared
+// with every path over the same route), the stage list, the work queue,
+// thread pool, and the reference count that delays pathDestroy (but
+// never pathKill). Figure 6 draws four queues, input and output at each
+// end; this simulator only ever queues inbound and control work at the
+// network end, so a path carries that one.
+//
+// The ledger keeps every dead path's Owner, and so its Path header,
+// reachable: a field added here is paid once per connection ever made.
 type Path struct {
 	Owner core.Owner
 
 	name    string
 	mgr     *Manager
-	allowed *lib.Hash
+	route   *route // nil until the open walk completes, and again once dead
 	stages  []StageRec
-	handles []*stageHandle
+	handles []stageHandle
 	work    lib.Ring[workItem] // inbound + control work, grown on demand
 	workSem *kernel.Semaphore
 	refCnt  int
@@ -105,7 +111,7 @@ func (p *Path) Stages() []StageRec { return p.stages }
 func (p *Path) StageAt(i int) module.Stage { return p.stages[i].Stage }
 
 // Handle returns the stage handle at index i.
-func (p *Path) Handle(i int) module.StageHandle { return p.handles[i] }
+func (p *Path) Handle(i int) module.StageHandle { return &p.handles[i] }
 
 // graph returns the stage records of a live path. A dead path has
 // released them (see dropPath), so any stage access on it is a bug.
@@ -168,18 +174,13 @@ func (p *Path) Unref(ctx *kernel.Ctx) {
 }
 
 // Domains returns the distinct protection domains the path crosses, in
-// stage order.
+// stage order. The slice is shared by every path over the same route and
+// must not be modified.
 func (p *Path) Domains() []*domain.Domain {
-	var out []*domain.Domain
-	seen := map[domain.ID]bool{}
-	for _, rec := range p.stages {
-		d := rec.Node.Domain()
-		if !seen[d.ID()] {
-			seen[d.ID()] = true
-			out = append(out, d)
-		}
+	if p.route == nil {
+		return nil
 	}
-	return out
+	return p.route.domains
 }
 
 // EnqueueIn implements module.PathRef: hand an inbound message to the
@@ -296,7 +297,10 @@ func (p *Path) deliverFrom(ctx *kernel.Ctx, idx int, dir module.Direction, m *ms
 	return err
 }
 
-// stageHandle implements module.StageHandle.
+// stageHandle implements module.StageHandle. A path keeps its handles
+// by value in one slice and hands out pointers into it; a handle never
+// changes, so a pointer into a backing array the slice has outgrown
+// stays correct.
 type stageHandle struct {
 	p   *Path
 	idx int
@@ -335,23 +339,29 @@ func (h *stageHandle) Above() module.Stage {
 	return stages[h.idx-1].Stage
 }
 
-// builder implements module.PathBuilder during incremental creation.
+// builder implements module.PathBuilder during incremental creation;
+// one builder serves every stage of a create, pointing at the node being
+// opened.
 type builder struct {
-	p      *Path
-	node   *module.Node
-	handle *stageHandle
+	p    *Path
+	node *module.Node
 }
 
 func (b *builder) Kernel() *kernel.Kernel     { return b.p.mgr.k }
 func (b *builder) PathOwner() *core.Owner     { return &b.p.Owner }
 func (b *builder) Node() *module.Node         { return b.node }
-func (b *builder) Handle() module.StageHandle { return b.handle }
+func (b *builder) Handle() module.StageHandle { return &b.p.handles[len(b.p.stages)] }
+
+// Stages returns the stages opened so far in a scratch slice the
+// manager reuses on the next call, so a module reads it during
+// CreateStage and keeps none of it.
 func (b *builder) Stages() []module.Stage {
-	out := make([]module.Stage, len(b.p.stages))
-	for i, rec := range b.p.stages {
-		out[i] = rec.Stage
+	mgr := b.p.mgr
+	mgr.stageBuf = mgr.stageBuf[:0]
+	for _, rec := range b.p.stages {
+		mgr.stageBuf = append(mgr.stageBuf, rec.Stage)
 	}
-	return out
+	return mgr.stageBuf
 }
 
 func (b *builder) NodeAt(i int) *module.Node { return b.p.stages[i].Node }
@@ -370,6 +380,14 @@ type Manager struct {
 
 	classifier FrameClassifier
 
+	// routes caches every route built so far (see routeFor);
+	// routeHint remembers the stage count of the last route opened from
+	// each start module, to size the next path's stage slices.
+	routes    map[string]*route
+	routeHint map[string]int
+	keyBuf    []byte         // routeFor's key scratch
+	stageBuf  []module.Stage // builder.Stages' scratch
+
 	// DemuxRejects counts messages dropped during demultiplexing.
 	DemuxRejects uint64
 	// PatternHits and PatternMisses count classifier outcomes when a
@@ -382,13 +400,15 @@ type Manager struct {
 // NewManager returns a path manager over the given graph.
 func NewManager(g *module.Graph) *Manager {
 	return &Manager{
-		k:        g.Kernel(),
-		graph:    g,
-		dc:       module.DemuxCtx{Graph: g},
-		paths:    make(map[*Path]struct{}),
-		byOwner:  make(map[*core.Owner]*Path),
-		tracer:   g.Kernel().Tracer(),
-		failKmem: g.Kernel().FaultSet().Point("kmem.alloc"),
+		k:         g.Kernel(),
+		graph:     g,
+		dc:        module.DemuxCtx{Graph: g},
+		paths:     make(map[*Path]struct{}),
+		byOwner:   make(map[*core.Owner]*Path),
+		routes:    make(map[string]*route),
+		routeHint: make(map[string]int),
+		tracer:    g.Kernel().Tracer(),
+		failKmem:  g.Kernel().FaultSet().Point("kmem.alloc"),
 	}
 }
 
@@ -403,7 +423,7 @@ func (mgr *Manager) Paths() []*Path {
 // header) reachable, but nothing else of it. Stage access on a dead path
 // then fails loudly instead of reaching torn-down module state.
 func (mgr *Manager) dropPath(p *Path) {
-	p.stages, p.handles, p.allowed = nil, nil, nil
+	p.stages, p.handles, p.route, p.killHooks = nil, nil, nil, nil
 	delete(mgr.paths, p)
 	delete(mgr.byOwner, &p.Owner)
 	for i, q := range mgr.order {
@@ -469,11 +489,14 @@ func (mgr *Manager) create(ctx *kernel.Ctx, name, start string, attrs lib.Attrs)
 		began = k.Engine().Now()
 	}
 
+	hint := mgr.routeHint[start]
 	p := &Path{
-		Owner: core.Owner{Name: name, Type: core.PathOwner},
-		name:  name,
-		mgr:   mgr,
-		work:  lib.MakeRing[workItem](inQueueCap),
+		Owner:   core.Owner{Name: name, Type: core.PathOwner},
+		name:    name,
+		mgr:     mgr,
+		stages:  make([]StageRec, 0, hint),
+		handles: make([]stageHandle, 0, hint),
+		work:    lib.MakeRing[workItem](inQueueCap),
 	}
 	k.AdoptOwner(&p.Owner)
 	p.Owner.ChargeKmem(pathKmem)
@@ -491,6 +514,7 @@ func (mgr *Manager) create(ctx *kernel.Ctx, name, start string, attrs lib.Attrs)
 	// Incremental open walk, bounded so a miswired graph (a cycle in the
 	// open chain) fails loudly instead of building an endless path.
 	cur := start
+	b := &builder{p: p}
 	for {
 		if len(p.stages) >= maxPathLen {
 			mgr.abortCreate(p)
@@ -502,8 +526,8 @@ func (mgr *Manager) create(ctx *kernel.Ctx, name, start string, attrs lib.Attrs)
 			p.Owner.MarkDead()
 			return nil, fmt.Errorf("path: unknown module %q", cur)
 		}
-		h := &stageHandle{p: p, idx: len(p.stages)}
-		b := &builder{p: p, node: node, handle: h}
+		p.handles = append(p.handles, stageHandle{p: p, idx: len(p.stages)})
+		b.node = node
 		charge(model.PathOpenPerModule)
 		st, next, err := node.Mod().CreateStage(b, attrs)
 		if err != nil {
@@ -511,7 +535,6 @@ func (mgr *Manager) create(ctx *kernel.Ctx, name, start string, attrs lib.Attrs)
 			return nil, fmt.Errorf("path: open %q: %w", cur, err)
 		}
 		p.stages = append(p.stages, StageRec{Node: node, Stage: st})
-		p.handles = append(p.handles, h)
 		if next == "" {
 			break
 		}
@@ -522,18 +545,13 @@ func (mgr *Manager) create(ctx *kernel.Ctx, name, start string, attrs lib.Attrs)
 		cur = next
 	}
 
-	// Allowed protection-domain crossings: adjacent stage pairs, both
-	// directions (the ICMP example crosses the same domain twice).
-	p.allowed = lib.NewHash(8)
-	for i := 1; i < len(p.stages); i++ {
-		a := p.stages[i-1].Node.Domain().ID()
-		b := p.stages[i].Node.Domain().ID()
-		if a != b {
-			p.allowed.Put(lib.PairKey(uint32(a), uint32(b)), true)
-			p.allowed.Put(lib.PairKey(uint32(b), uint32(a)), true)
-		}
+	if hint != len(p.stages) {
+		mgr.routeHint[start] = len(p.stages)
 	}
-	hashKmem := uint64(p.allowed.MemSize())
+	p.route = mgr.routeFor(p.stages)
+	// Every path pays for its crossings table as though it were its
+	// own: the cache saves host work, not simulated memory.
+	hashKmem := uint64(p.route.allowed.MemSize())
 	p.Owner.ChargeKmem(hashKmem)
 	p.staticKmem += hashKmem
 
@@ -550,15 +568,20 @@ func (mgr *Manager) create(ctx *kernel.Ctx, name, start string, attrs lib.Attrs)
 
 	// A destroyed protection domain takes every path crossing it down
 	// with it (§2.4). Hooks are deregistered when the path dies first.
-	for _, d := range p.Domains() {
+	var killPath func()
+	for _, d := range p.route.domains {
 		if d.Privileged() {
 			continue
 		}
-		id := d.AddDestroyHook(func() {
-			if p.alive {
-				mgr.Kill(p)
+		if killPath == nil {
+			killPath = func() {
+				if p.alive {
+					mgr.Kill(p)
+				}
 			}
-		})
+			p.domHooks = make([]domHook, 0, len(p.route.domains))
+		}
+		id := d.AddDestroyHook(killPath)
 		p.domHooks = append(p.domHooks, domHook{d: d, id: id})
 	}
 
@@ -575,7 +598,48 @@ func (mgr *Manager) create(ctx *kernel.Ctx, name, start string, attrs lib.Attrs)
 // SpawnOptsForPath builds the spawn options for a thread executing on
 // behalf of path p (exported for the escort assembly's service threads).
 func SpawnOptsForPath(p *Path) kernel.SpawnOpts {
-	return kernel.SpawnOpts{Allowed: p.allowed}
+	return kernel.SpawnOpts{Allowed: p.route.allowed}
+}
+
+// route is what every path over the same chain of graph nodes shares,
+// built once and read-only after: the allowed protection-domain
+// crossings and the distinct domains crossed.
+type route struct {
+	allowed *lib.Hash
+	domains []*domain.Domain
+}
+
+// routeFor returns the cached route for the nodes of stages, building it
+// on first use. The key is each node's name and domain ID, so a lookup
+// of a route already built allocates nothing.
+func (mgr *Manager) routeFor(stages []StageRec) *route {
+	key := mgr.keyBuf[:0]
+	for _, rec := range stages {
+		key = append(key, rec.Node.Name()...)
+		key = binary.LittleEndian.AppendUint32(append(key, 0), uint32(rec.Node.Domain().ID()))
+	}
+	mgr.keyBuf = key
+	if r, ok := mgr.routes[string(key)]; ok {
+		return r
+	}
+	// Allowed protection-domain crossings: adjacent stage pairs, both
+	// directions (the ICMP example crosses the same domain twice).
+	r := &route{allowed: lib.NewHash(8)}
+	for i := 1; i < len(stages); i++ {
+		a := stages[i-1].Node.Domain().ID()
+		b := stages[i].Node.Domain().ID()
+		if a != b {
+			r.allowed.Put(lib.PairKey(uint32(a), uint32(b)), true)
+			r.allowed.Put(lib.PairKey(uint32(b), uint32(a)), true)
+		}
+	}
+	for _, rec := range stages {
+		if d := rec.Node.Domain(); !slices.Contains(r.domains, d) {
+			r.domains = append(r.domains, d)
+		}
+	}
+	mgr.routes[string(key)] = r
+	return r
 }
 
 func (mgr *Manager) abortCreate(p *Path) {

@@ -465,7 +465,7 @@ func TestWorkQueueBoundAndKmem(t *testing.T) {
 	kernelKmem := probe.Counters.Kmem
 
 	p := createPath(t, e)
-	hash := uint64(p.allowed.MemSize())
+	hash := uint64(p.route.allowed.MemSize())
 	if hash == 0 {
 		t.Fatal("per-module domains gave the path no crossings hash")
 	}
@@ -603,9 +603,11 @@ func TestLedgerConservationThroughPathActivity(t *testing.T) {
 }
 
 // TestDeadPathReleasesStageGraph: Destroy and Kill drop the path's
-// stages, handles and crossings table, so the ledger's reference to a
-// dead path's Owner keeps only the Path header alive, and any stage
-// access on the dead path panics.
+// stages, handles, route and kill hooks, so the ledger's reference to a
+// dead path's Owner keeps only the Path header alive (a kill hook
+// closes over module state, such as a TCP connection, that would
+// otherwise outlive the path), and any stage access on the dead path
+// panics.
 func TestDeadPathReleasesStageGraph(t *testing.T) {
 	for _, end := range []string{"Destroy", "Kill"} {
 		t.Run(end, func(t *testing.T) {
@@ -614,13 +616,15 @@ func TestDeadPathReleasesStageGraph(t *testing.T) {
 			e := buildEnv(t, true, app, mid, dev)
 			p := createPath(t, e)
 			h := p.Handle(1)
+			p.OnKill(func() {})
 			if end == "Destroy" {
 				e.mgr.Destroy(nil, p)
 			} else {
 				e.mgr.Kill(p)
 			}
-			if p.stages != nil || p.handles != nil || p.allowed != nil {
-				t.Fatalf("dead path still holds stages=%v handles=%v allowed=%v", p.stages, p.handles, p.allowed)
+			if p.stages != nil || p.handles != nil || p.route != nil || p.killHooks != nil {
+				t.Fatalf("dead path still holds stages=%v handles=%v route=%v killHooks=%d",
+					p.stages, p.handles, p.route, len(p.killHooks))
 			}
 			for name, op := range map[string]func(){
 				"StageAt":  func() { p.StageAt(0) },

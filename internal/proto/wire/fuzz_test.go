@@ -58,7 +58,9 @@ func FuzzPuzzleRoundTrip(f *testing.F) {
 // view a receiver takes (Ethernet payload, then the IPv4 payload
 // checked against the IPv4 addresses). The same bytes then seed header
 // fields and a payload for a Put* → Parse* round trip, which must
-// decode to exactly what was encoded.
+// decode to exactly what was encoded. Every input is also a
+// differential test of the checksum against the one-word reference
+// loop; the checked-in corpus covers every length mod 8 and odd tails.
 func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(make([]byte, EthLen+IPv4Len+TCPLen))
@@ -69,6 +71,21 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0, 1, 0x08, 0x06, 0, 1, 8, 0, 6, 4, 0, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		srcIP, dstIP := uint32(0x0a000101), uint32(0x0a000001)
+
+		// Differential oracle: the 64-bit checksum against the
+		// one-word loop, on the raw bytes and on the TCP sum chained
+		// over every header/payload split whose header has even length
+		// (the first 4 KiB, so a long input stays cheap to split).
+		if got, want := Checksum(data), refFinish(refSum(data, 0)); got != want {
+			t.Fatalf("Checksum = %#04x, one-word loop %#04x", got, want)
+		}
+		split := data[:min(len(data), 4096)]
+		for i := 0; i <= len(split); i += 2 {
+			if got, want := tcpChecksum(split[:i], srcIP, dstIP, split[i:]), refTCPChecksum(split[:i], srcIP, dstIP, split[i:]); got != want {
+				t.Fatalf("tcpChecksum split at %d = %#04x, one-word loop %#04x", i, got, want)
+			}
+		}
+
 		ParseEth(data)
 		ParseARP(data)
 		ParseIPv4(data)

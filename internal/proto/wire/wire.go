@@ -8,6 +8,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/netsim"
 )
@@ -219,32 +220,58 @@ func Checksum(b []byte) uint16 {
 	return finish(sum(b, 0))
 }
 
+// tcpChecksum sums the IPv4 pseudo-header (source, destination, zero,
+// protocol, TCP length) without laying it out in bytes: as big-endian
+// 16-bit words it adds up to the two addresses, the protocol number and
+// the length.
 func tcpChecksum(hdr []byte, srcIP, dstIP uint32, payload []byte) uint16 {
-	var pseudo [12]byte
-	binary.BigEndian.PutUint32(pseudo[0:4], srcIP)
-	binary.BigEndian.PutUint32(pseudo[4:8], dstIP)
-	pseudo[9] = ProtoTCP
-	binary.BigEndian.PutUint16(pseudo[10:12], uint16(len(hdr)+len(payload)))
-	s := sum(pseudo[:], 0)
+	s := uint64(srcIP) + uint64(dstIP) + ProtoTCP + uint64(uint16(len(hdr)+len(payload)))
 	s = sum(hdr, s)
 	s = sum(payload, s)
 	return finish(s)
 }
 
-func sum(b []byte, acc uint32) uint32 {
-	n := len(b)
-	for i := 0; i+1 < n; i += 2 {
-		acc += uint32(b[i])<<8 | uint32(b[i+1])
+// sum adds b, as big-endian 16-bit words, to the ones'-complement sum
+// acc (RFC 1071 §2(C), §4). It adds eight bytes at a time with an
+// end-around carry: because 2^16-1 divides 2^64-1, the 64-bit
+// ones'-complement sum folds to the same 16-bit sum however the words
+// are grouped. In a chained sum every buffer but the last must have
+// even length, so each 16-bit word keeps its alignment; an odd last
+// byte is padded with zero on the right.
+func sum(b []byte, acc uint64) uint64 {
+	var c uint64
+	for len(b) >= 32 {
+		acc, c = bits.Add64(acc, binary.BigEndian.Uint64(b[0:8]), c)
+		acc, c = bits.Add64(acc, binary.BigEndian.Uint64(b[8:16]), c)
+		acc, c = bits.Add64(acc, binary.BigEndian.Uint64(b[16:24]), c)
+		acc, c = bits.Add64(acc, binary.BigEndian.Uint64(b[24:32]), c)
+		b = b[32:]
 	}
-	if n%2 == 1 {
-		acc += uint32(b[n-1]) << 8
+	for len(b) >= 8 {
+		acc, c = bits.Add64(acc, binary.BigEndian.Uint64(b), c)
+		b = b[8:]
 	}
-	return acc
+	var tail uint64
+	if len(b) >= 4 {
+		tail = uint64(binary.BigEndian.Uint32(b))
+		b = b[4:]
+	}
+	if len(b) >= 2 {
+		tail += uint64(binary.BigEndian.Uint16(b))
+		b = b[2:]
+	}
+	if len(b) == 1 {
+		tail += uint64(b[0]) << 8
+	}
+	acc, c = bits.Add64(acc, tail, c)
+	return acc + c // a carry out left acc <= tail, so this cannot carry
 }
 
-func finish(acc uint32) uint16 {
+// finish folds the 64-bit sum to 16 bits with end-around carries and
+// complements it.
+func finish(acc uint64) uint16 {
 	for acc>>16 != 0 {
-		acc = (acc & 0xFFFF) + acc>>16
+		acc = acc&0xFFFF + acc>>16
 	}
 	return ^uint16(acc)
 }
