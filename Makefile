@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint lint-json lint-sarif fmt fmt-check vet check bench bench-parity bench-smoke chaos-smoke scenarios scenarios-smoke fuzz-smoke
+.PHONY: all build test race allocs lint lint-json lint-sarif fmt fmt-check vet check bench bench-parity bench-smoke chaos-smoke scenarios scenarios-smoke fuzz-smoke
 
 all: check
 
@@ -12,6 +12,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# allocs runs the exact host-allocation pins without the race detector,
+# which adds allocations of its own (the pins skip under -race, so the
+# race job alone never checks them).
+allocs:
+	$(GO) test -run 'Allocs|AllocatesNothing|DeadOwners' ./...
 
 # lint runs the in-tree analyzer suite (see STATIC_ANALYSIS.md).
 lint:
@@ -38,7 +44,7 @@ vet:
 	$(GO) vet ./...
 
 # check is what CI runs (minus the networked staticcheck/govulncheck job).
-check: fmt-check vet build lint test
+check: fmt-check vet build lint test allocs
 
 # bench regenerates BENCH_7.json: conn/s per Figure 8 point, the sweep
 # runner's sims/sec (serial vs parallel), and the engine hot path's

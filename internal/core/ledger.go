@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -13,18 +14,59 @@ import (
 // Table 1 breakdown, and so the invariant "Total Accounted == Total
 // Measured" can be checked: every cycle the engine advances is charged to
 // exactly one owner, so summing the ledger must reproduce the clock.
+//
+// The ledger bounds its own state: a dead owner that has given every
+// resource back retires (see Retire), folding its cycles into a
+// tombstone total for its name, so the owner list holds only live
+// owners and dead ones still waiting to retire. The zero value is an
+// empty ledger.
 type Ledger struct {
-	owners []*Owner
+	owners    []*Owner
+	tombstone map[string]sim.Cycles // retired owners' cycles, by name
+	onRetire  []func(i int, o *Owner)
 }
 
-// Register adds an owner to the ledger. Owners stay registered after death
-// so their historical cycle charges remain visible.
+// Register adds an owner to the ledger. An owner stays registered after
+// death until it retires.
 func (l *Ledger) Register(o *Owner) {
 	l.owners = append(l.owners, o)
 }
 
-// Owners returns all registered owners in registration order.
+// Owners returns the live owners and the dead owners not yet retired, in
+// registration order. The slice is the ledger's own; do not modify it.
 func (l *Ledger) Owners() []*Owner { return l.owners }
+
+// OnRetire registers fn to run as each owner retires, before its record
+// leaves the owner list: i is its index in Owners() at that moment.
+// Observers that keep state parallel to Owners() (the metrics sampler's
+// group memo) and owners' containers (the path manager's free list)
+// hook in here.
+func (l *Ledger) OnRetire(fn func(i int, o *Owner)) {
+	l.onRetire = append(l.onRetire, fn)
+}
+
+// Retire removes a retirable owner (see Owner.Retirable) from the owner
+// list and folds its cycles into its name's tombstone, so snapshots
+// keep counting them. It panics if o is not retirable or not
+// registered: a retired owner's storage may be reused at once, so
+// nothing may charge it again.
+func (l *Ledger) Retire(o *Owner) {
+	if !o.Retirable() {
+		panic(fmt.Sprintf("core: retire of %q, which still holds resources", o.Name))
+	}
+	i := slices.Index(l.owners, o)
+	if i < 0 {
+		panic(fmt.Sprintf("core: retire of unregistered owner %q", o.Name))
+	}
+	for _, fn := range l.onRetire {
+		fn(i, o)
+	}
+	if l.tombstone == nil {
+		l.tombstone = make(map[string]sim.Cycles)
+	}
+	l.tombstone[o.Name] += o.Counters.Cycles
+	l.owners = slices.Delete(l.owners, i, i+1)
+}
 
 // Find returns the first live owner with the given name.
 func (l *Ledger) Find(name string) *Owner {
@@ -43,9 +85,13 @@ type Snapshot struct {
 }
 
 // Snapshot captures the current cycle counters. Owners sharing a name (a
-// path name reused across connections) are summed.
+// path name reused across connections) are summed, retired ones through
+// their name's tombstone.
 func (l *Ledger) Snapshot(now sim.Cycles) Snapshot {
-	s := Snapshot{At: now, Cycles: make(map[string]sim.Cycles, len(l.owners))}
+	s := Snapshot{At: now, Cycles: make(map[string]sim.Cycles, len(l.owners)+len(l.tombstone))}
+	for name, c := range l.tombstone {
+		s.Cycles[name] = c
+	}
 	for _, o := range l.owners {
 		s.Cycles[o.Name] += o.Counters.Cycles
 	}

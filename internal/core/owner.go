@@ -128,6 +128,10 @@ type Owner struct {
 	Limits Limits
 
 	dead bool
+	// pins counts references that may still charge the owner after it
+	// dies: a thread keeps its owner pinned until it has finished
+	// unwinding, since its exit is charged to the owner.
+	pins int
 
 	// OnOveruse, when non-nil, is invoked by charge helpers that detect a
 	// limit violation; the kernel points this at its containment routine.
@@ -138,6 +142,7 @@ type Owner struct {
 // It is declared here (rather than importing internal/sched) to keep core
 // dependency-free; internal/sched defines the concrete satisfying type.
 type SchedState interface {
+	// ResetSched returns the state to that of a fresh owner.
 	ResetSched()
 }
 
@@ -152,6 +157,47 @@ func (o *Owner) Dead() bool { return o.dead }
 // MarkDead flags the owner destroyed. Further charges panic, which turns
 // use-after-destroy accounting bugs into loud failures in tests.
 func (o *Owner) MarkDead() { o.dead = true }
+
+// Pin records a reference that may still charge the owner after it
+// dies (a live thread); Unpin drops it. A pinned owner does not retire.
+func (o *Owner) Pin() { o.pins++ }
+
+// Unpin drops a reference taken by Pin.
+func (o *Owner) Unpin() {
+	if o.pins == 0 {
+		panic(fmt.Sprintf("core: unpin below zero on %q", o.Name))
+	}
+	o.pins--
+}
+
+// Retirable reports whether a dead owner has given everything back:
+// every counter but cycles is zero, every tracking list is empty, and
+// nothing that could still charge it is pinned. Only such an owner may
+// leave the ledger; one that leaks stays dead and visible forever.
+func (o *Owner) Retirable() bool {
+	c := &o.Counters
+	if !o.dead || o.pins != 0 || c.Kmem != 0 || c.Pages != 0 || c.Stacks != 0 ||
+		c.Events != 0 || c.Semaphores != 0 {
+		return false
+	}
+	for i := range o.tracked {
+		if o.tracked[i].Len() != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// Reset readies a retired owner's storage for a new owner of the given
+// name and type, keeping (and resetting) its scheduling state so a
+// recycled owner costs no allocation.
+func (o *Owner) Reset(name string, t OwnerType) {
+	sched := o.Sched
+	*o = Owner{Name: name, Type: t, Sched: sched}
+	if sched != nil {
+		sched.ResetSched()
+	}
+}
 
 func (o *Owner) checkLive(op string) {
 	if o.dead {

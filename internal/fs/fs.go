@@ -111,7 +111,11 @@ func (m *Module) Init(ic *module.InitCtx) error {
 
 // CreateStage implements module.Module: bind to the SCSI stage below.
 func (m *Module) CreateStage(pb module.PathBuilder, attrs lib.Attrs) (module.Stage, string, error) {
-	st := &stage{mod: m, k: pb.Kernel()}
+	st, _ := pb.Reuse().(*stage)
+	if st == nil {
+		st = new(stage)
+	}
+	*st = stage{mod: m, k: pb.Kernel()}
 	if stages := pb.Stages(); len(stages) > 0 {
 		disk, ok := stages[len(stages)-1].(scsi.BlockReader)
 		if !ok {

@@ -92,6 +92,10 @@ type Kernel struct {
 	softclockOwner *core.Owner
 	kernelOwner    *core.Owner // the privileged domain's owner
 
+	// dying holds owners destroyed through DestroyOwner that have not
+	// yet retired from the ledger; see retireDead.
+	dying []*core.Owner
+
 	current *Thread
 	// threads holds every live thread in spawn order. A slice, not a
 	// set: Stop and DestroyOwner walk it, and walking a map would make
@@ -299,18 +303,11 @@ func (k *Kernel) Logf(format string, args ...any) {
 func (k *Kernel) Run(until sim.Cycles) {
 	k.runDeadline = until
 	defer func() { k.runDeadline = 0 }() //escort:coldpath one closure per Run invocation, not per event
-	// Metrics are sampled at loop boundaries only: here every burned
-	// cycle has been fully charged to an owner, so each sample satisfies
-	// the Table 1 invariant (summed owner cycles == Now) exactly. The
-	// deferred poll covers the early return on the idle-to-deadline path.
-	m := k.metrics
-	if m != nil {
-		defer func() { m.Poll(k.eng.Now()) }()
-	}
+	// The deferred boundary covers the early return on the
+	// idle-to-deadline path.
+	defer k.boundary()
 	for k.eng.Now() < until && !k.stopped {
-		if m != nil {
-			m.Poll(k.eng.Now())
-		}
+		k.boundary()
 		if t := k.paused; t != nil {
 			k.paused = nil
 			k.resume(t)
@@ -328,6 +325,36 @@ func (k *Kernel) Run(until sim.Cycles) {
 		}
 		k.dispatch(t)
 	}
+}
+
+// boundary is the work done between dispatches, where no thread runs
+// and every burned cycle has been fully charged to an owner: dead
+// owners that have given everything back retire, then metrics are
+// sampled, so each sample satisfies the Table 1 invariant (summed
+// owner cycles == Now) exactly.
+func (k *Kernel) boundary() {
+	if len(k.dying) > 0 {
+		k.retireDead()
+	}
+	if m := k.metrics; m != nil {
+		m.Poll(k.eng.Now())
+	}
+}
+
+// retireDead retires every dying owner that has given back all it held
+// and whose last thread has exited. An owner that leaks stays dying, and
+// so stays in the ledger where leak checks can find it.
+func (k *Kernel) retireDead() {
+	keep := k.dying[:0]
+	for _, o := range k.dying {
+		if o.Retirable() {
+			k.ledger.Retire(o)
+		} else {
+			keep = append(keep, o)
+		}
+	}
+	clear(k.dying[len(keep):])
+	k.dying = keep
 }
 
 // RunFor advances the simulation by d cycles.
@@ -367,7 +394,7 @@ func (k *Kernel) resume(t *Thread) {
 	}
 	kind, _ := t.co.next()
 	if tr != nil {
-		tr.ThreadSlice(uint32(t.curDomain), t.owner.Name, t.name, began, k.eng.Now(), kind.String())
+		tr.ThreadSlice(uint32(t.curDomain), t.owner.Name, t.Name(), began, k.eng.Now(), kind.String())
 	}
 	k.current = nil
 	used := t.usedThisSlice
@@ -411,8 +438,9 @@ func (k *Kernel) finishThread(t *Thread) {
 	k.removeThread(t)
 	k.Burn(t.owner, k.model.ThreadExit)
 	if tr := k.tracer; tr != nil {
-		tr.ThreadExit(uint32(t.curDomain), t.owner.Name, t.name, k.eng.Now())
+		tr.ThreadExit(uint32(t.curDomain), t.owner.Name, t.Name(), k.eng.Now())
 	}
+	t.owner.Unpin()
 }
 
 // makeRunnable puts a blocked or new thread on the run queue. Safe from
@@ -467,12 +495,15 @@ func (k *Kernel) LiveThreads() int { return len(k.threads) }
 // to the kernel — reclamation must not bill the victim, whose budget may
 // be exactly what triggered the teardown. Returns the number of objects
 // reclaimed. kill selects pathKill (true: skip destructors) semantics.
+// The owner retires from the ledger at a later scheduler-loop boundary,
+// once its last thread has exited and its books are at zero.
 func (k *Kernel) DestroyOwner(o *core.Owner, kill bool) int {
 	if o.Dead() {
 		return 0
 	}
 	n := o.ReleaseAll(kill)
 	o.MarkDead()
+	k.dying = append(k.dying, o) //escort:coldpath once per owner death; the list drains at the next scheduler-loop boundary
 	if kill {
 		k.Burn(k.kernelOwner, k.model.PathKillBase+sim.Cycles(n)*k.model.PathKillPerObject)
 	} else {

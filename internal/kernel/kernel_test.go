@@ -583,3 +583,64 @@ func TestOpStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestDeadOwnersRetireAtLoopBoundary: with no metrics configured, a
+// destroyed owner retires from the ledger at the next scheduler-loop
+// boundary after its last thread has exited — not while the thread is
+// still unwinding, whose exit is charged to the owner — and its cycles
+// stay in the ledger's snapshots. An owner left holding a charge never
+// retires.
+func TestDeadOwnersRetireAtLoopBoundary(t *testing.T) {
+	k := newKernel(t, Config{Accounting: true})
+	registered := func(o *core.Owner) bool {
+		for _, x := range k.Ledger().Owners() {
+			if x == o {
+				return true
+			}
+		}
+		return false
+	}
+	o := k.NewOwner("conn", core.PathOwner)
+	leak := k.NewOwner("leaky", core.PathOwner)
+	k.Spawn(o, ":worker", func(ctx *Ctx) {
+		sem := k.NewSemaphore(ctx.Owner(), "park", 0)
+		_ = sem.P(ctx)
+	}, SpawnOpts{})
+	k.RunFor(100_000)
+	k.DestroyOwner(o, false)
+	leak.ChargeKmem(16)
+	k.DestroyOwner(leak, true)
+	if !registered(o) {
+		t.Fatal("owner retired while its thread was still unwinding")
+	}
+	before := k.Ledger().Snapshot(k.Engine().Now()).Cycles["conn"]
+	k.RunFor(100_000)
+	if registered(o) {
+		t.Fatal("dead owner with clean books did not retire")
+	}
+	if !registered(leak) {
+		t.Fatal("owner holding a charge retired")
+	}
+	after := k.Ledger().Snapshot(k.Engine().Now())
+	if after.Cycles["conn"] <= before {
+		t.Fatalf("retired owner's cycles %d, want more than %d (its thread's exit)", after.Cycles["conn"], before)
+	}
+	var total sim.Cycles
+	for _, c := range after.Cycles {
+		total += c
+	}
+	if total != k.Engine().Now() {
+		t.Fatalf("ledger sums to %d, clock is %d", total, k.Engine().Now())
+	}
+}
+
+// TestSuffixThreadNameJoinsOwner: a thread named by a ':' suffix reports
+// its owner's name joined to the suffix.
+func TestSuffixThreadNameJoinsOwner(t *testing.T) {
+	k := newKernel(t, Config{})
+	o := k.NewOwner("Active Path x", core.PathOwner)
+	th := k.Spawn(o, ":worker", func(*Ctx) {}, SpawnOpts{})
+	if got := th.Name(); got != "Active Path x:worker" {
+		t.Fatalf("thread name %q", got)
+	}
+}

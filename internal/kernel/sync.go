@@ -32,10 +32,30 @@ type Semaphore struct {
 }
 
 // NewSemaphore creates a semaphore charged to owner.
+func (k *Kernel) NewSemaphore(owner *core.Owner, name string, initial int) *Semaphore {
+	return k.initSemaphore(nil, owner, name, initial)
+}
+
+// InitSemaphore makes s a new semaphore charged to owner, in place: a
+// semaphore embedded in its owner's structure (a path's work
+// semaphore) is created this way, and again when that structure is
+// reused after the old semaphore was destroyed. It charges exactly what
+// NewSemaphore does.
+func (k *Kernel) InitSemaphore(s *Semaphore, owner *core.Owner, name string, initial int) {
+	k.initSemaphore(s, owner, name, initial)
+}
+
+// initSemaphore initializes s, or a new semaphore when s is nil, and
+// charges it to owner.
 //
 //escort:coldpath constructor: creation is charged (ChargeSemaphore + kmem), not packet path
-func (k *Kernel) NewSemaphore(owner *core.Owner, name string, initial int) *Semaphore {
-	s := &Semaphore{k: k, owner: owner, name: name, count: initial}
+func (k *Kernel) initSemaphore(s *Semaphore, owner *core.Owner, name string, initial int) *Semaphore {
+	if s == nil {
+		s = new(Semaphore)
+	} else if s.node.InList() {
+		panic("kernel: InitSemaphore on a semaphore still tracked by its owner")
+	}
+	*s = Semaphore{k: k, owner: owner, name: name, count: initial}
 	s.node.Value = s
 	owner.ChargeSemaphore()
 	owner.ChargeKmem(semKmem)

@@ -92,8 +92,15 @@ type Thread struct {
 	schedState sched.State // per-thread queue state bound to the owner's Share
 }
 
-// Name returns the thread's name.
-func (t *Thread) Name() string { return t.name }
+// Name returns the thread's name. A name given as a suffix (starting
+// with ':', as path workers are) is joined to the owner's name here, on
+// first use, so spawning a thread never builds a string.
+func (t *Thread) Name() string {
+	if len(t.name) > 0 && t.name[0] == ':' {
+		t.name = t.owner.Name + t.name //escort:coldpath joined once per thread, only when a trace or diagnostic reads it
+	}
+	return t.name
+}
 
 // Owner returns the thread's owner.
 func (t *Thread) Owner() *core.Owner { return t.owner }
@@ -193,12 +200,13 @@ func (k *Kernel) SpawnChecked(owner *core.Owner, name string, fn Fn, opts SpawnO
 	owner.ChargeKmem(threadKmem)
 	owner.ChargeStacks(1) // home stack
 	owner.Track(core.TrackThreads, &t.node)
+	owner.Pin()                      // the thread's exit is charged to the owner
 	k.threads = append(k.threads, t) //escort:coldpath live-thread list grows once per spawn; removeThread shrinks it in place
 	if !opts.NoCharge {
 		k.Burn(owner, k.model.ThreadSpawn+k.AccountingTax())
 	}
 	if tr := k.tracer; tr != nil {
-		tr.ThreadSpawn(uint32(t.curDomain), owner.Name, name, k.eng.Now())
+		tr.ThreadSpawn(uint32(t.curDomain), owner.Name, t.Name(), k.eng.Now())
 	}
 	k.bind(t, fn)
 	k.makeRunnable(t)
@@ -210,7 +218,7 @@ func (k *Kernel) SpawnChecked(owner *core.Owner, name string, fn Fn, opts SpawnO
 // dependency-free; the kernel pins the concrete type here.
 func OwnerShare(o *core.Owner) *sched.Share {
 	if o.Sched == nil {
-		sh := &sched.Share{Tickets: 10} //escort:coldpath materialized once per owner on first scheduling contact
+		sh := &sched.Share{Tickets: sched.DefaultTickets} //escort:coldpath materialized once per owner on first scheduling contact
 		o.Sched = sh
 		return sh
 	}
@@ -259,7 +267,7 @@ func (c *Ctx) Now() sim.Cycles { return c.k.eng.Now() }
 
 func (c *Ctx) checkCurrent(op string) {
 	if c.k.current != c.t {
-		panic(fmt.Sprintf("kernel: %s from non-running thread %q", op, c.t.name))
+		panic(fmt.Sprintf("kernel: %s from non-running thread %q", op, c.t.Name()))
 	}
 }
 
@@ -281,9 +289,9 @@ func (c *Ctx) Use(n sim.Cycles) {
 	c.t.usedThisSlice += n
 	limit := c.t.owner.Limits.MaxRunCycles
 	if limit > 0 && c.t.sinceYield > limit && !c.t.killed {
-		c.k.Logf("runaway: thread %q exceeded %d cycles without yield", c.t.name, limit) //escort:coldpath runaway diagnostic: fires once per policy violation, not per packet
+		c.k.Logf("runaway: thread %q exceeded %d cycles without yield", c.t.Name(), limit) //escort:coldpath runaway diagnostic: fires once per policy violation, not per packet
 		if tr := c.k.tracer; tr != nil {
-			tr.Policy("maxRuntime", c.t.owner.Name, c.t.name, c.Now())
+			tr.Policy("maxRuntime", c.t.owner.Name, c.t.Name(), c.Now())
 		}
 		if c.k.OnRunaway != nil {
 			c.k.OnRunaway(c.t)
@@ -364,9 +372,9 @@ func (c *Ctx) Cross(target domain.ID, fn func()) {
 	}
 	tr := c.k.tracer
 	if !c.crossingAllowed(t.curDomain, target) {
-		c.k.Logf("protection fault: thread %q cross %d->%d denied", t.name, t.curDomain, target)
+		c.k.Logf("protection fault: thread %q cross %d->%d denied", t.Name(), t.curDomain, target)
 		if tr != nil {
-			tr.Policy("protFault", t.owner.Name, t.name, c.Now())
+			tr.Policy("protFault", t.owner.Name, t.Name(), c.Now())
 		}
 		if c.k.OnProtFault != nil {
 			c.k.OnProtFault(t)

@@ -6,9 +6,13 @@ package lib
 // "almost always constant" time; this table resizes at load factor 0.75 to
 // keep that true. A hand-built table (rather than Go's map) lets us charge
 // its memory to owners precisely and keeps iteration order deterministic.
+// Deleted entries are kept for reuse, so a table whose contents churn
+// (the TCP connection table) allocates nothing in steady state; the
+// kept entries never outnumber the table's peak size.
 type Hash struct {
 	buckets []*hashEntry
 	count   int
+	free    *hashEntry // deleted entries, reused by Put (linked through next)
 }
 
 type hashEntry struct {
@@ -61,7 +65,14 @@ func (h *Hash) Put(key uint64, value any) bool {
 			return false
 		}
 	}
-	h.buckets[b] = &hashEntry{key: key, value: value, next: h.buckets[b]}
+	e := h.free
+	if e != nil {
+		h.free = e.next
+	} else {
+		e = new(hashEntry)
+	}
+	*e = hashEntry{key: key, value: value, next: h.buckets[b]}
+	h.buckets[b] = e
 	h.count++
 	if h.count*4 > len(h.buckets)*3 {
 		h.grow()
@@ -91,6 +102,8 @@ func (h *Hash) Delete(key uint64) bool {
 				prev.next = e.next
 			}
 			h.count--
+			*e = hashEntry{next: h.free}
+			h.free = e
 			return true
 		}
 		prev = e

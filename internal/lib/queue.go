@@ -95,8 +95,8 @@ func (q *Ring[T]) Dequeue() (v T, ok bool) {
 }
 
 // Flush empties the ring, calling fn (if non-nil) on each dropped item
-// so owners can release per-item resources, then releases the storage.
-// A flushed ring grows again from ringMinCap if it is reused.
+// so owners can release per-item resources. The ring keeps its storage
+// for reuse (a recycled path reuses its work queue's).
 func (q *Ring[T]) Flush(fn func(T)) {
 	for {
 		v, ok := q.Dequeue()
@@ -107,6 +107,5 @@ func (q *Ring[T]) Flush(fn func(T)) {
 			fn(v)
 		}
 	}
-	q.items = nil
 	q.head = 0
 }

@@ -163,9 +163,10 @@ func TestRingZeroesDequeuedSlots(t *testing.T) {
 	}
 }
 
-// TestRingFlushReleasesStorage: Flush hands every item to fn in FIFO
-// order, empties the ring, drops its storage, and the ring is reusable.
-func TestRingFlushReleasesStorage(t *testing.T) {
+// TestRingFlushKeepsStorage: Flush hands every item to fn in FIFO
+// order, empties the ring, keeps its storage (zeroed), and the ring is
+// reusable.
+func TestRingFlushKeepsStorage(t *testing.T) {
 	q := MakeRing[int](8)
 	for i := 0; i < 5; i++ {
 		_ = q.Enqueue(i)
@@ -176,8 +177,13 @@ func TestRingFlushReleasesStorage(t *testing.T) {
 	if len(dropped) != 4 || dropped[0] != 1 || dropped[3] != 4 {
 		t.Fatalf("flush dropped %v, want [1 2 3 4]", dropped)
 	}
-	if q.Len() != 0 || q.items != nil {
-		t.Fatalf("after flush: Len %d, storage %d slots", q.Len(), len(q.items))
+	if q.Len() != 0 || len(q.items) != 8 {
+		t.Fatalf("after flush: Len %d, storage %d slots, want 0 and 8", q.Len(), len(q.items))
+	}
+	for i, v := range q.items {
+		if v != 0 {
+			t.Fatalf("slot %d still holds %d after flush", i, v)
+		}
 	}
 	if err := q.Enqueue(9); err != nil {
 		t.Fatal(err)

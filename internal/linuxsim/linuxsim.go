@@ -28,7 +28,17 @@ type Server struct {
 	MAC   netsim.MAC
 	Model *cost.Model
 
+	// Docs maps request targets to document bodies. It must not change
+	// once the server has served a request: responses are built from it
+	// once and shared.
 	Docs map[string][]byte
+
+	// resps caches each document's full response (status line, headers
+	// and body), built on its first request; notFound is the one 404
+	// response. Connections send slices of these shared, read-only
+	// bytes.
+	resps    map[string][]byte
+	notFound []byte
 
 	busyUntil sim.Cycles
 	busyTotal sim.Cycles
@@ -65,8 +75,8 @@ type sconn struct {
 	cwnd, peerWnd       int
 
 	state   int
-	resp    []byte
-	respOff int // next unsent byte
+	resp    []byte // shared with the server's response cache: read only
+	respOff int    // next unsent byte
 	finSent bool
 	finSeq  uint32
 	req     []byte
@@ -236,21 +246,46 @@ func (c *sconn) serve() {
 			target = parts[1]
 		}
 	}
-	body, ok := s.Docs[target]
-	status := "200 OK"
-	if !ok {
-		status = "404 Not Found"
-		body = []byte("not found")
-	}
+	body, resp := s.response(target)
 	work := s.Model.LinuxConnCost + sim.Cycles(len(body))*s.Model.LinuxPerByte
 	s.cpu(work, func() {
 		if c.state != lsEstablished {
 			return
 		}
-		hdr := fmt.Sprintf("HTTP/1.0 %s\r\nServer: Apache/1.2.6\r\nContent-Length: %d\r\n\r\n", status, len(body))
-		c.resp = append([]byte(hdr), body...)
+		c.resp = resp
 		c.pump()
 	})
+}
+
+// notFoundBody is the body of the 404 response.
+var notFoundBody = []byte("not found")
+
+// response returns target's body and its full response, building the
+// response on the target's first request. Every target missing from
+// Docs shares the one 404 response, so the cache never grows past Docs.
+func (s *Server) response(target string) (body, resp []byte) {
+	body, ok := s.Docs[target]
+	if !ok {
+		if s.notFound == nil {
+			s.notFound = buildResponse("404 Not Found", notFoundBody)
+		}
+		return notFoundBody, s.notFound
+	}
+	resp, ok = s.resps[target]
+	if !ok {
+		if s.resps == nil {
+			s.resps = make(map[string][]byte, len(s.Docs))
+		}
+		resp = buildResponse("200 OK", body)
+		s.resps[target] = resp
+	}
+	return body, resp
+}
+
+// buildResponse renders an Apache/1.2.6 HTTP/1.0 response.
+func buildResponse(status string, body []byte) []byte {
+	hdr := fmt.Sprintf("HTTP/1.0 %s\r\nServer: Apache/1.2.6\r\nContent-Length: %d\r\n\r\n", status, len(body))
+	return append([]byte(hdr), body...)
 }
 
 // pump sends response segments within the window, then the FIN.

@@ -2,6 +2,7 @@ package linuxsim
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/cost"
@@ -106,5 +107,44 @@ func TestKillProcessCost(t *testing.T) {
 	srv := newServer(eng, hub)
 	if got := srv.KillProcess(); got != cost.Default().LinuxKill {
 		t.Fatalf("kill cost = %d, want the Table 2 constant %d", got, cost.Default().LinuxKill)
+	}
+}
+
+// TestResponsesMatchApacheFormat: the cached responses carry the exact
+// bytes the server always sent, for a document and for a missing one,
+// and serving connections never writes into the shared bytes.
+func TestResponsesMatchApacheFormat(t *testing.T) {
+	eng := sim.New()
+	hub := netsim.NewHub(eng, mbps100, 3000)
+	srv := newServer(eng, hub)
+	want := func(status string, body []byte) string {
+		return fmt.Sprintf("HTTP/1.0 %s\r\nServer: Apache/1.2.6\r\nContent-Length: %d\r\n\r\n", status, len(body)) + string(body)
+	}
+	body, resp := srv.response("/doc10k")
+	if got := string(resp); got != want("200 OK", srv.Docs["/doc10k"]) || !bytes.Equal(body, srv.Docs["/doc10k"]) {
+		t.Fatalf("200 response %q", got[:min(len(got), 80)])
+	}
+	body, resp404 := srv.response("/missing")
+	if got := string(resp404); got != want("404 Not Found", []byte("not found")) || string(body) != "not found" {
+		t.Fatalf("404 response %q", got)
+	}
+	if _, again := srv.response("/other-missing"); &again[0] != &resp404[0] {
+		t.Fatal("each missing target built its own 404 response")
+	}
+	if _, again := srv.response("/doc10k"); &again[0] != &resp[0] {
+		t.Fatal("the document's response was built twice")
+	}
+
+	snap200, snap404 := bytes.Clone(resp), bytes.Clone(resp404)
+	for i := 0; i < 4; i++ {
+		client(eng, hub, i, "/doc10k").Start()
+		client(eng, hub, 4+i, "/nope").Start()
+	}
+	eng.Drain(2 * sim.CyclesPerSecond)
+	if srv.Completed == 0 {
+		t.Fatal("no connection served")
+	}
+	if !bytes.Equal(resp, snap200) || !bytes.Equal(resp404, snap404) {
+		t.Fatal("serving connections wrote into the shared response bytes")
 	}
 }

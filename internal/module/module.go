@@ -92,6 +92,16 @@ type Stage interface {
 	Destroy(ctx *kernel.Ctx)
 }
 
+// Reclaimer is implemented by a stage holding charged module-level
+// state that the kernel does not track (the TCP module's TCB and its
+// connection-table entry). pathKill, which runs no destructors, calls
+// Reclaim on each such stage in stage order while the path's owner is
+// still live, so the state and its charges come back at once; an
+// aborted path creation does the same for the stages already opened.
+type Reclaimer interface {
+	Reclaim()
+}
+
 // StageHandle is a stage's connection back to its path, given to the
 // module at CreateStage time. It is implemented by the path package.
 type StageHandle interface {
@@ -128,6 +138,11 @@ type PathBuilder interface {
 	// NodeAt returns the graph node of the i-th stage created so far
 	// (to learn a neighbor's protection domain for crossing calls).
 	NodeAt(i int) *Node
+	// Reuse returns the stage this node contributed at the same position
+	// of a path whose storage is being recycled, or nil. That path has
+	// retired, so nothing refers to its stages any more: a module may
+	// reinitialize the stage and return it instead of allocating one.
+	Reuse() Stage
 }
 
 // PathRef is the path interface visible to modules (the full object

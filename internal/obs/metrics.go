@@ -3,6 +3,7 @@ package obs
 import (
 	"bufio"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -40,14 +41,20 @@ type Metrics struct {
 	samples     []Sample
 	subscribers []func(Sample)
 
-	// Group memo. Ledger owners are append-only and never renamed, so
-	// each owner's group is computed once, the first time a sample sees
+	// Group memo. Owners are never renamed, so each owner's group is
+	// computed once, the first time a sample (or its retirement) sees
 	// it: ownerGroup[i] indexes ledger owner i's group in groupNames,
 	// and a tick sums into sums by index instead of naming every owner.
+	// When an owner retires from the ledger its entry leaves ownerGroup
+	// at the same index and its cycles move to its group's retired
+	// total, so memory follows the live owners and the groups, not
+	// every owner that ever lived.
 	ownerGroup []int32
 	groupIndex map[string]int32
 	groupNames []string
 	sums       []groupSum
+	retired    []sim.Cycles // per group: cycles of retired owners
+	binding    int          // Bind count; a retire hook of an older binding is inert
 }
 
 func newMetrics(csv, jsonW io.Writer, interval sim.Cycles, group func(string) string) *Metrics {
@@ -106,7 +113,25 @@ func (m *Metrics) Bind(l ledgerSource) {
 		return
 	}
 	m.ledger = l
-	m.ownerGroup, m.groupIndex, m.groupNames, m.sums = nil, map[string]int32{}, nil, nil
+	m.ownerGroup, m.groupIndex, m.groupNames, m.sums, m.retired = nil, map[string]int32{}, nil, nil, nil
+	m.binding++
+	binding := m.binding
+	l.OnRetire(func(i int, o *core.Owner) {
+		if m.binding == binding {
+			m.retire(i, o)
+		}
+	})
+}
+
+// retire moves the retiring ledger owner i into its group's retired
+// total and drops its memo entry, keeping ownerGroup parallel to the
+// ledger's owner list.
+func (m *Metrics) retire(i int, o *core.Owner) {
+	if i >= len(m.ownerGroup) {
+		m.learnGroups(m.ledger.Owners()[:i+1])
+	}
+	m.retired[m.ownerGroup[i]] += o.Counters.Cycles
+	m.ownerGroup = slices.Delete(m.ownerGroup, i, i+1)
 }
 
 // BindFaults attaches a fault-count registry; each sample then carries
@@ -148,7 +173,9 @@ func (m *Metrics) Final(now sim.Cycles) {
 func (m *Metrics) sample(now sim.Cycles) {
 	owners := m.ledger.Owners()
 	m.learnGroups(owners)
-	clear(m.sums)
+	for gi := range m.sums {
+		m.sums[gi] = groupSum{cycles: m.retired[gi]}
+	}
 	for i, o := range owners {
 		sum := &m.sums[m.ownerGroup[i]]
 		c := &o.Counters
@@ -198,6 +225,7 @@ func (m *Metrics) learnGroups(owners []*core.Owner) {
 			m.groupIndex[g] = gi
 			m.groupNames = append(m.groupNames, g)
 			m.sums = append(m.sums, groupSum{})
+			m.retired = append(m.retired, 0)
 		}
 		m.ownerGroup = append(m.ownerGroup, gi)
 	}
@@ -222,8 +250,8 @@ func (m *Metrics) Len() int {
 
 // groups returns the union of group names across all samples, sorted,
 // so the CSV has a stable column set even though owners appear over
-// time (dead owners stay in the Ledger, so later samples carry every
-// group seen earlier).
+// time (a group outlives its owners through its retired total, so
+// later samples carry every group seen earlier).
 func (m *Metrics) groups() []string {
 	set := map[string]bool{}
 	for i := range m.samples {

@@ -95,31 +95,57 @@ func TestSamplerMatchesNaiveGrouping(t *testing.T) {
 	}
 }
 
-// TestSampleCostIndependentOfDeadOwners: a tick's allocations do not
-// grow with the number of dead owners the ledger keeps, so a long or
-// hostile run does not make sampling costlier in allocations.
+// TestSampleCostIndependentOfDeadOwners: owners that died and retired
+// from the ledger cost a sample nothing. With 10 or 10,000 retired
+// connection owners behind it, one sample allocates the same, the
+// group memo holds only the registered owners, and the group totals
+// still include every retired owner's cycles.
 func TestSampleCostIndependentOfDeadOwners(t *testing.T) {
-	allocs := func(dead int) float64 {
+	const live = 8
+	measure := func(dead int) (allocs float64, memo int, s obs.Sample) {
 		var l core.Ledger
-		l.Register(core.NewOwner("Kernel", core.KernelOwner))
-		for i := 0; i < dead; i++ {
-			o := core.NewOwner(fmt.Sprintf("Active Path trusted:%d#%d", 1024+i, i+1), core.PathOwner)
-			o.Counters.Cycles = sim.Cycles(i)
-			o.MarkDead()
-			l.Register(o)
-		}
 		m := obs.NewSampler(0, nil)
 		m.Bind(&l)
+		for _, name := range []string{"Idle", "Softclock", "Passive SYN Path (trusted)"} {
+			l.Register(core.NewOwner(name, core.KernelOwner))
+		}
 		var now sim.Cycles
-		tick := func() {
+		for i := 0; i < live; i++ {
+			o := core.NewOwner(fmt.Sprintf("Active Path trusted:%d#%d", 2000+i, i), core.PathOwner)
+			l.Register(o)
+			o.ChargeCycles(1000)
+		}
+		for i := 0; i < dead; i++ {
+			o := core.NewOwner(fmt.Sprintf("Active Path trusted:%d#%d", 3000+i%50000, live+i), core.PathOwner)
+			l.Register(o)
+			o.ChargeCycles(3)
+			o.MarkDead()
+			if i%7 == 0 { // some owners are sampled before they retire
+				now += obs.DefaultMetricsInterval
+				m.Poll(now)
+			}
+			l.Retire(o)
+		}
+		now += obs.DefaultMetricsInterval
+		m.Poll(now)
+		allocs = testing.AllocsPerRun(50, func() {
 			now += obs.DefaultMetricsInterval
 			m.Poll(now)
-		}
-		tick()
-		return testing.AllocsPerRun(50, tick)
+		})
+		samples := m.Samples()
+		return allocs, len(l.Owners()), samples[len(samples)-1]
 	}
-	few, many := allocs(10), allocs(10_000)
-	if many > few {
-		t.Fatalf("one sample allocates %.0f times over 10k dead owners, %.0f over 10", many, few)
+	a1, n1, s1 := measure(10)
+	a2, n2, s2 := measure(10_000)
+	if a1 != a2 {
+		t.Errorf("a sample allocates %.0f times behind 10 retired owners, %.0f behind 10,000", a1, a2)
+	}
+	if n1 != 3+live || n2 != 3+live {
+		t.Errorf("ledger holds %d and %d owners, want %d live ones", n1, n2, 3+live)
+	}
+	for dead, s := range map[int]obs.Sample{10: s1, 10_000: s2} {
+		if got, want := s.Cycles["Active Paths (trusted)"], sim.Cycles(live*1000+3*dead); got != want {
+			t.Errorf("%d retired owners: group cycles %d, want %d", dead, got, want)
+		}
 	}
 }

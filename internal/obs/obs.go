@@ -152,4 +152,5 @@ func closeWriter(w io.Writer) error {
 // ledgerSource is the slice of core.Ledger the metrics sampler needs.
 type ledgerSource interface {
 	Owners() []*core.Owner
+	OnRetire(func(i int, o *core.Owner))
 }

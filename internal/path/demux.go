@@ -66,7 +66,7 @@ func (mgr *Manager) demux(entry string, m *msg.Msg) (*Path, module.Verdict) {
 			mgr.DemuxRejects++
 			return nil, v
 		case module.VerdictFound:
-			p := v.Path.(*Path)
+			p := v.Path.(Ref).p
 			k.Burn(&p.Owner, cycles)
 			return p, v
 		}
@@ -98,7 +98,7 @@ func (mgr *Manager) SetClassifier(c FrameClassifier) { mgr.classifier = c }
 func (mgr *Manager) DeliverInbound(entry string, m *msg.Msg) bool {
 	if mgr.classifier != nil {
 		if target, ok := mgr.classifier.ClassifyTarget(m.Bytes()); ok {
-			if p, isPath := target.(*Path); isPath && p.alive {
+			if p := Of(target); p != nil {
 				k := mgr.k
 				model := k.Model()
 				tr := mgr.tracer

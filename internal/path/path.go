@@ -67,25 +67,33 @@ type StageRec struct {
 // end; this simulator only ever queues inbound and control work at the
 // network end, so a path carries that one.
 //
-// The ledger keeps every dead path's Owner, and so its Path header,
-// reachable: a field added here is paid once per connection ever made.
+// Once a dead path's owner retires from the ledger, the manager reuses
+// the Path, its slices, its work ring and semaphore and its stages for
+// a later path. Each use is one generation; anything that names a path
+// beyond its death holds a Ref, which goes inert when the generation
+// ends, never a bare *Path.
 type Path struct {
 	Owner core.Owner
 
+	gen     uint64         // generation: bumped when the path retires
+	ref     module.PathRef // Ref{p, gen}, boxed once per generation
 	name    string
 	mgr     *Manager
 	route   *route // nil until the open walk completes, and again once dead
 	stages  []StageRec
 	handles []stageHandle
+	b       builder
 	work    lib.Ring[workItem] // inbound + control work, grown on demand
-	workSem *kernel.Semaphore
+	workSem kernel.Semaphore
 	refCnt  int
 
 	alive          bool
 	pendingDestroy bool
 	staticKmem     uint64 // path struct + crossings hash charge
 	domHooks       []domHook
-	killHooks      []func() // run by Kill before the owner dies
+	killFn         func()    // domain destroy hook, made once per Path
+	workerFn       kernel.Fn // p.worker, bound once per Path
+	nextFree       *Path     // manager free-list link
 
 	// Drops counts inbound messages rejected because the input queue was
 	// full — the flood backstop.
@@ -95,14 +103,101 @@ type Path struct {
 	Delivered uint64
 }
 
-// PathName implements module.PathRef.
+// PathName returns the path's name.
 func (p *Path) PathName() string { return p.name }
 
-// PathOwner implements module.PathRef.
-func (p *Path) PathOwner() *core.Owner { return &p.Owner }
+// Alive reports whether the path has not been destroyed.
+func (p *Path) Alive() bool { return p.alive }
+
+// PathRef returns the reference modules and policies hold to this
+// generation of the path.
+func (p *Path) PathRef() module.PathRef { return p.ref }
+
+// Ref names one generation of a Path and is the module.PathRef a path
+// hands out. When the path retires and its storage serves a new path, a
+// Ref to the old generation reports !Alive, refuses work with
+// ErrPathDead, has no owner and finds no stage. Refs compare equal only
+// within a generation, so state keyed by them (policy scan records)
+// never carries over to the next path.
+type Ref struct {
+	p   *Path
+	gen uint64
+}
+
+var _ module.PathRef = Ref{}
+
+// current reports whether the referenced generation still occupies the
+// Path (live, or dead and not yet retired).
+func (r Ref) current() bool { return r.p.gen == r.gen }
+
+// Of returns the live path ref names, or nil when ref is not a path's
+// Ref or names a dead or retired generation. ref is usually a
+// module.PathRef; the pattern classifier's targets arrive as any.
+func Of(ref any) *Path {
+	r, ok := ref.(Ref)
+	if !ok || !r.Alive() {
+		return nil
+	}
+	return r.p
+}
+
+// PathOwner implements module.PathRef; nil once the generation retired.
+func (r Ref) PathOwner() *core.Owner {
+	if !r.current() {
+		return nil
+	}
+	return &r.p.Owner
+}
+
+// PathName implements module.PathRef; "" once the generation retired.
+func (r Ref) PathName() string {
+	if !r.current() {
+		return ""
+	}
+	return r.p.name
+}
 
 // Alive implements module.PathRef.
-func (p *Path) Alive() bool { return p.alive }
+func (r Ref) Alive() bool { return r.current() && r.p.alive }
+
+// EnqueueIn implements module.PathRef.
+func (r Ref) EnqueueIn(m *msg.Msg) error {
+	if !r.current() {
+		m.Free()
+		return ErrPathDead
+	}
+	return r.p.EnqueueIn(m)
+}
+
+// EnqueueControl implements module.PathRef.
+func (r Ref) EnqueueControl(idx int, fn func(ctx *kernel.Ctx, st module.Stage)) error {
+	if !r.current() {
+		return ErrPathDead
+	}
+	return r.p.EnqueueControl(idx, fn)
+}
+
+// FindStage implements module.PathRef.
+func (r Ref) FindStage(name string) (int, bool) {
+	if !r.current() {
+		return 0, false
+	}
+	return r.p.FindStage(name)
+}
+
+// Spawn implements module.PathRef.
+func (r Ref) Spawn(name string, fn func(ctx *kernel.Ctx)) {
+	if r.current() {
+		r.p.Spawn(name, fn)
+	}
+}
+
+// RequestDestroy implements module.PathRef.
+func (r Ref) RequestDestroy() {
+	if r.current() {
+		r.p.RequestDestroy()
+	}
+}
 
 // Stages returns the path's stage records.
 func (p *Path) Stages() []StageRec { return p.stages }
@@ -113,16 +208,17 @@ func (p *Path) StageAt(i int) module.Stage { return p.stages[i].Stage }
 // Handle returns the stage handle at index i.
 func (p *Path) Handle(i int) module.StageHandle { return &p.handles[i] }
 
-// graph returns the stage records of a live path. A dead path has
-// released them (see dropPath), so any stage access on it is a bug.
+// graph returns the stage records of a live path. A dead path has none
+// (see dropPath), so any stage access on it is a bug.
 func (p *Path) graph() []StageRec {
-	if p.stages == nil {
+	if len(p.stages) == 0 {
 		panic("path: stage access on dead path " + p.name)
 	}
 	return p.stages
 }
 
-// FindStage implements module.PathRef.
+// FindStage returns the index of the first stage contributed by the
+// named module.
 func (p *Path) FindStage(name string) (int, bool) {
 	for i, rec := range p.stages {
 		if rec.Node.Name() == name {
@@ -132,8 +228,8 @@ func (p *Path) FindStage(name string) (int, bool) {
 	return 0, false
 }
 
-// Spawn implements module.PathRef: a thread owned by the path with its
-// allowed-crossings table (the CGI handler of §4.1.2 runs this way).
+// Spawn starts a thread owned by the path with its allowed-crossings
+// table (the CGI handler of §4.1.2 runs this way).
 func (p *Path) Spawn(name string, fn func(ctx *kernel.Ctx)) {
 	if !p.alive {
 		return
@@ -146,14 +242,6 @@ func (p *Path) Spawn(name string, fn func(ctx *kernel.Ctx)) {
 // watchdog uses it to distinguish a starved path (work pending, no
 // progress) from an idle one.
 func (p *Path) PendingWork() int { return p.work.Len() }
-
-// OnKill registers fn to run if the path is summarily killed, while
-// the path's owner can still receive refunds. Module-level per-path
-// state that is charged but not kernel-tracked (the TCP module's TCBs)
-// registers here so pathKill reclaims 100% of the owner's resources
-// immediately instead of waiting for the module's periodic sweep.
-// Hooks do not run on orderly destroy — module destructors own that.
-func (p *Path) OnKill(fn func()) { p.killHooks = append(p.killHooks, fn) }
 
 // RefCnt returns the current reference count.
 func (p *Path) RefCnt() int { return p.refCnt }
@@ -183,10 +271,9 @@ func (p *Path) Domains() []*domain.Domain {
 	return p.route.domains
 }
 
-// EnqueueIn implements module.PathRef: hand an inbound message to the
-// path from interrupt context. The enqueue and wakeup costs are charged
-// to the path — part of the per-datagram cost visible in the SYN-attack
-// experiment.
+// EnqueueIn hands an inbound message to the path from interrupt
+// context. The enqueue and wakeup costs are charged to the path — part
+// of the per-datagram cost visible in the SYN-attack experiment.
 func (p *Path) EnqueueIn(m *msg.Msg) error {
 	if !p.alive {
 		m.Free()
@@ -203,9 +290,9 @@ func (p *Path) EnqueueIn(m *msg.Msg) error {
 	return nil
 }
 
-// EnqueueControl implements module.PathRef: run fn on the path's thread
-// in the domain of stage idx. TCP timeout processing arrives this way,
-// which is how its cycles land on the connection's path (Table 1).
+// EnqueueControl runs fn on the path's thread in the domain of stage
+// idx. TCP timeout processing arrives this way, which is how its cycles
+// land on the connection's path (Table 1).
 func (p *Path) EnqueueControl(idx int, fn func(ctx *kernel.Ctx, st module.Stage)) error {
 	if !p.alive {
 		return ErrPathDead
@@ -306,7 +393,7 @@ type stageHandle struct {
 	idx int
 }
 
-func (h *stageHandle) Path() module.PathRef { return h.p }
+func (h *stageHandle) Path() module.PathRef { return h.p.ref }
 func (h *stageHandle) Index() int           { return h.idx }
 
 // SendDown injects m below this stage and frees it when the chain ends.
@@ -366,6 +453,21 @@ func (b *builder) Stages() []module.Stage {
 
 func (b *builder) NodeAt(i int) *module.Node { return b.p.stages[i].Node }
 
+// Reuse returns the stage the node being opened left at this position
+// of the recycled path, if the path's storage is recycled and the node
+// matches.
+func (b *builder) Reuse() module.Stage {
+	p := b.p
+	i := len(p.stages)
+	if i == cap(p.stages) {
+		return nil
+	}
+	if old := p.stages[:i+1][i]; old.Node == b.node {
+		return old.Stage
+	}
+	return nil
+}
+
 // Manager creates, identifies (demux), and destroys paths.
 type Manager struct {
 	k       *kernel.Kernel
@@ -388,6 +490,13 @@ type Manager struct {
 	keyBuf    []byte         // routeFor's key scratch
 	stageBuf  []module.Stage // builder.Stages' scratch
 
+	// free is the LIFO of retired paths whose storage the next create
+	// reuses, linked through Path.nextFree. It needs no bound: it never
+	// holds more paths than were live at once. dying holds dead paths
+	// whose owners have not retired yet.
+	free  *Path
+	dying []*Path
+
 	// DemuxRejects counts messages dropped during demultiplexing.
 	DemuxRejects uint64
 	// PatternHits and PatternMisses count classifier outcomes when a
@@ -399,7 +508,7 @@ type Manager struct {
 
 // NewManager returns a path manager over the given graph.
 func NewManager(g *module.Graph) *Manager {
-	return &Manager{
+	mgr := &Manager{
 		k:         g.Kernel(),
 		graph:     g,
 		dc:        module.DemuxCtx{Graph: g},
@@ -410,6 +519,55 @@ func NewManager(g *module.Graph) *Manager {
 		tracer:    g.Kernel().Tracer(),
 		failKmem:  g.Kernel().FaultSet().Point("kmem.alloc"),
 	}
+	g.Kernel().Ledger().OnRetire(mgr.ownerRetired)
+	return mgr
+}
+
+// ownerRetired moves a dying path to the free list once the ledger
+// retires its owner: nothing can charge it any more, so its storage may
+// serve the next path. The generation ends here, so every Ref to it
+// goes inert before the storage is reused.
+func (mgr *Manager) ownerRetired(_ int, o *core.Owner) {
+	if o.Type != core.PathOwner {
+		return
+	}
+	for i, p := range mgr.dying {
+		if &p.Owner == o {
+			last := len(mgr.dying) - 1
+			mgr.dying[i] = mgr.dying[last]
+			mgr.dying[last] = nil
+			mgr.dying = mgr.dying[:last]
+			p.gen++
+			p.ref = nil
+			p.nextFree, mgr.free = mgr.free, p
+			return
+		}
+	}
+}
+
+// alloc returns a path ready for the open walk: the most recently
+// retired one if any, else a new one. Its stage slices hold room for
+// hint stages; a recycled path keeps its previous stages beyond the
+// (empty) length for builder.Reuse.
+func (mgr *Manager) alloc(name string, hint int) *Path {
+	p := mgr.free
+	if p != nil {
+		mgr.free, p.nextFree = p.nextFree, nil
+	} else {
+		p = &Path{mgr: mgr, work: lib.MakeRing[workItem](inQueueCap)}
+		p.workerFn = p.worker
+		p.b.p = p
+	}
+	p.Owner.Reset(name, core.PathOwner)
+	p.ref = Ref{p: p, gen: p.gen}
+	p.name = name
+	if cap(p.stages) < hint {
+		p.stages = make([]StageRec, 0, hint)
+		p.handles = make([]stageHandle, 0, hint)
+	}
+	p.refCnt, p.pendingDestroy, p.staticKmem = 0, false, 0
+	p.Drops, p.Delivered = 0, 0
+	return p
 }
 
 // Paths returns the live paths in creation order. The slice is a
@@ -418,12 +576,12 @@ func (mgr *Manager) Paths() []*Path {
 	return append([]*Path(nil), mgr.order...)
 }
 
-// dropPath removes p from the live-path bookkeeping and releases its
-// stage graph: the ledger keeps every dead path's Owner (and so the Path
-// header) reachable, but nothing else of it. Stage access on a dead path
-// then fails loudly instead of reaching torn-down module state.
+// dropPath removes p from the live-path bookkeeping and empties its
+// stage graph, keeping the storage (and the stages, for builder.Reuse)
+// until the path is recycled. Stage access on a dead path then fails
+// loudly instead of reaching torn-down module state.
 func (mgr *Manager) dropPath(p *Path) {
-	p.stages, p.handles, p.route, p.killHooks = nil, nil, nil, nil
+	mgr.bury(p)
 	delete(mgr.paths, p)
 	delete(mgr.byOwner, &p.Owner)
 	for i, q := range mgr.order {
@@ -463,7 +621,7 @@ func (mgr *Manager) CreatePath(ctx *kernel.Ctx, name, start string, attrs lib.At
 	if err != nil {
 		return nil, err
 	}
-	return p, nil
+	return p.ref, nil
 }
 
 // Create is CreatePath returning the concrete type.
@@ -490,14 +648,7 @@ func (mgr *Manager) create(ctx *kernel.Ctx, name, start string, attrs lib.Attrs)
 	}
 
 	hint := mgr.routeHint[start]
-	p := &Path{
-		Owner:   core.Owner{Name: name, Type: core.PathOwner},
-		name:    name,
-		mgr:     mgr,
-		stages:  make([]StageRec, 0, hint),
-		handles: make([]stageHandle, 0, hint),
-		work:    lib.MakeRing[workItem](inQueueCap),
-	}
+	p := mgr.alloc(name, hint)
 	k.AdoptOwner(&p.Owner)
 	p.Owner.ChargeKmem(pathKmem)
 	p.staticKmem = pathKmem
@@ -514,7 +665,7 @@ func (mgr *Manager) create(ctx *kernel.Ctx, name, start string, attrs lib.Attrs)
 	// Incremental open walk, bounded so a miswired graph (a cycle in the
 	// open chain) fails loudly instead of building an endless path.
 	cur := start
-	b := &builder{p: p}
+	b := &p.b
 	for {
 		if len(p.stages) >= maxPathLen {
 			mgr.abortCreate(p)
@@ -522,8 +673,7 @@ func (mgr *Manager) create(ctx *kernel.Ctx, name, start string, attrs lib.Attrs)
 		}
 		node, ok := mgr.graph.Node(cur)
 		if !ok {
-			p.Owner.RefundKmem(pathKmem)
-			p.Owner.MarkDead()
+			mgr.abortCreate(p)
 			return nil, fmt.Errorf("path: unknown module %q", cur)
 		}
 		p.handles = append(p.handles, stageHandle{p: p, idx: len(p.stages)})
@@ -545,6 +695,9 @@ func (mgr *Manager) create(ctx *kernel.Ctx, name, start string, attrs lib.Attrs)
 		cur = next
 	}
 
+	// Stages an earlier generation left beyond this route's length are
+	// not reusable at their positions here; let them go.
+	clear(p.stages[len(p.stages):cap(p.stages)])
 	if hint != len(p.stages) {
 		mgr.routeHint[start] = len(p.stages)
 	}
@@ -555,9 +708,11 @@ func (mgr *Manager) create(ctx *kernel.Ctx, name, start string, attrs lib.Attrs)
 	p.Owner.ChargeKmem(hashKmem)
 	p.staticKmem += hashKmem
 
-	p.workSem = k.NewSemaphore(&p.Owner, name+":work", 0)
+	// The semaphore and worker names are suffixes of the path's name;
+	// the kernel joins them only where a trace or diagnostic reads them.
+	k.InitSemaphore(&p.workSem, &p.Owner, ":work", 0)
 	for i := 0; i < workerCount; i++ {
-		if _, err := k.SpawnChecked(&p.Owner, name+":worker", p.worker, SpawnOptsForPath(p)); err != nil {
+		if _, err := k.SpawnChecked(&p.Owner, ":worker", p.workerFn, SpawnOptsForPath(p)); err != nil {
 			// A path without its worker pool would hang on arrival;
 			// abort and reclaim instead (abortCreate releases every
 			// charge made so far).
@@ -568,20 +723,18 @@ func (mgr *Manager) create(ctx *kernel.Ctx, name, start string, attrs lib.Attrs)
 
 	// A destroyed protection domain takes every path crossing it down
 	// with it (§2.4). Hooks are deregistered when the path dies first.
-	var killPath func()
 	for _, d := range p.route.domains {
 		if d.Privileged() {
 			continue
 		}
-		if killPath == nil {
-			killPath = func() {
+		if p.killFn == nil {
+			p.killFn = func() {
 				if p.alive {
 					mgr.Kill(p)
 				}
 			}
-			p.domHooks = make([]domHook, 0, len(p.route.domains))
 		}
-		id := d.AddDestroyHook(killPath)
+		id := d.AddDestroyHook(p.killFn)
 		p.domHooks = append(p.domHooks, domHook{d: d, id: id})
 	}
 
@@ -643,18 +796,32 @@ func (mgr *Manager) routeFor(stages []StageRec) *route {
 }
 
 func (mgr *Manager) abortCreate(p *Path) {
-	// Partial path: reclaim what was built, without destructors. Kill
-	// hooks run first, while the owner is still live, so modules whose
-	// CreateStage already ran can drop their per-path state and refund
-	// their charges (TCP's TCB is the canonical case); then the
-	// manager's own static charges come back, leaving the dead owner's
-	// books at zero.
-	for _, fn := range p.killHooks {
-		fn()
-	}
-	p.killHooks = nil
+	// Partial path: reclaim what was built, without destructors. Stages
+	// already opened reclaim their module state first, while the owner
+	// is still live, so they can refund their charges (TCP's TCB is the
+	// canonical case); then the manager's own static charges come back,
+	// leaving the dead owner's books at zero.
+	p.reclaimStages()
 	p.Owner.RefundKmem(p.staticKmem)
 	mgr.k.DestroyOwner(&p.Owner, true)
+	mgr.bury(p)
+}
+
+// bury empties a dead path's stage graph and queues it to be recycled
+// once its owner retires.
+func (mgr *Manager) bury(p *Path) {
+	p.stages, p.handles, p.route = p.stages[:0], p.handles[:0], nil
+	mgr.dying = append(mgr.dying, p)
+}
+
+// reclaimStages calls Reclaim on every stage that implements
+// module.Reclaimer, in stage order.
+func (p *Path) reclaimStages() {
+	for _, rec := range p.stages {
+		if r, ok := rec.Stage.(module.Reclaimer); ok {
+			r.Reclaim()
+		}
+	}
 }
 
 // Destroy is pathDestroy: run each module's destructor in the order the
@@ -717,10 +884,7 @@ func (mgr *Manager) Kill(p *Path) sim.Cycles {
 	start := mgr.k.Engine().Now()
 	p.alive = false
 	mgr.Kills++
-	for _, fn := range p.killHooks {
-		fn()
-	}
-	p.killHooks = nil
+	p.reclaimStages()
 	p.dropDomainHooks()
 	p.work.Flush(freeWorkMsg)
 	p.releaseDomainCharges(true)
@@ -741,12 +905,10 @@ func (p *Path) dropDomainHooks() {
 			h.d.RemoveDestroyHook(h.id)
 		}
 	}
-	p.domHooks = nil
+	p.domHooks = p.domHooks[:0]
 }
 
-// freeWorkMsg frees a message still queued for a dying path. Flush also
-// drops the queue's storage, which matters because the ledger keeps
-// dead paths reachable.
+// freeWorkMsg frees a message still queued for a dying path.
 func freeWorkMsg(item workItem) {
 	if item.m != nil {
 		item.m.Free()

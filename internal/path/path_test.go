@@ -26,6 +26,7 @@ type fakeMod struct {
 
 	delivered []string // "up:<payload>" etc, across all stages
 	destroyed int
+	reclaimed []string // owner liveness at each Reclaim: "live" or "dead"
 }
 
 type fakeStage struct {
@@ -68,6 +69,14 @@ func (s *fakeStage) Deliver(ctx *kernel.Ctx, dir module.Direction, m *msg.Msg) (
 }
 
 func (s *fakeStage) Destroy(*kernel.Ctx) { s.m.destroyed++ }
+
+func (s *fakeStage) Reclaim() {
+	state := "live"
+	if s.o.Dead() {
+		state = "dead"
+	}
+	s.m.reclaimed = append(s.m.reclaimed, s.m.name+":"+state)
+}
 
 type env struct {
 	k   *kernel.Kernel
@@ -143,7 +152,7 @@ func TestCreateWalksOpenChain(t *testing.T) {
 			t.Fatalf("stage %d = %q, want %q", i, rec.Node.Name(), names[i])
 		}
 	}
-	if p.PathOwner().Counters.Kmem == 0 {
+	if p.Owner.Counters.Kmem == 0 {
 		t.Fatal("path kmem not charged")
 	}
 	if e.mgr.Live() != 1 {
@@ -245,12 +254,12 @@ func TestPerDomainCrossingsCostMore(t *testing.T) {
 		app.reply = true
 		e := buildEnv(t, perDomain, app, mid, dev)
 		p := createPath(t, e)
-		start := p.PathOwner().Counters.Cycles
+		start := p.Owner.Counters.Cycles
 		for i := 0; i < 10; i++ {
 			_ = p.EnqueueIn(msg.FromBytes(e.k.KernelOwner(), []byte("req")))
 		}
 		e.k.RunFor(200_000_000)
-		return p.PathOwner().Counters.Cycles - start
+		return p.Owner.Counters.Cycles - start
 	}
 	single := run(false)
 	multi := run(true)
@@ -281,7 +290,7 @@ func TestDemuxChainIdentifiesPath(t *testing.T) {
 	if got != p || v.Kind != module.VerdictFound {
 		t.Fatalf("demux = %v %v", got, v)
 	}
-	if p.PathOwner().Counters.Cycles == 0 {
+	if p.Owner.Counters.Cycles == 0 {
 		t.Fatal("demux cost not charged to path")
 	}
 	m.Free()
@@ -298,7 +307,7 @@ func (d *demuxFoundMod) CreateStage(module.PathBuilder, lib.Attrs) (module.Stage
 	return nil, "", errors.New("not a path module")
 }
 func (d *demuxFoundMod) Demux(*module.DemuxCtx, *msg.Msg) module.Verdict {
-	return module.Found(d.p)
+	return module.Found(d.p.PathRef())
 }
 
 // appDemuxNext redirects app's demux Continue target.
@@ -352,8 +361,8 @@ func TestDestroyRunsDestructorsInInitOrder(t *testing.T) {
 	if e.k.LiveThreads() != 0 {
 		t.Fatal("worker thread leaked")
 	}
-	if p.PathOwner().Counters.Kmem != 0 {
-		t.Fatalf("kmem leaked: %d", p.PathOwner().Counters.Kmem)
+	if p.Owner.Counters.Kmem != 0 {
+		t.Fatalf("kmem leaked: %d", p.Owner.Counters.Kmem)
 	}
 }
 
@@ -364,7 +373,7 @@ func TestKillSkipsDestructorsAndReclaims(t *testing.T) {
 	p := createPath(t, e)
 	// Give the path heap charges in a crossed domain.
 	d, _ := e.k.Domains().ByName("mid")
-	if _, err := d.Heap().Alloc(512, p.PathOwner()); err != nil {
+	if _, err := d.Heap().Alloc(512, &p.Owner); err != nil {
 		t.Fatal(err)
 	}
 	cycles := e.mgr.Kill(p)
@@ -374,7 +383,7 @@ func TestKillSkipsDestructorsAndReclaims(t *testing.T) {
 	if app.destroyed+mid.destroyed+dev.destroyed != 0 {
 		t.Fatal("pathKill ran destructors")
 	}
-	if d.Heap().OwedBy(p.PathOwner()) != 0 {
+	if d.Heap().OwedBy(&p.Owner) != 0 {
 		t.Fatal("domain heap charges not swept")
 	}
 	e.k.RunFor(1_000_000)
@@ -473,7 +482,7 @@ func TestWorkQueueBoundAndKmem(t *testing.T) {
 		t.Fatalf("staticKmem = %d, want pathKmem %d + hash %d", p.staticKmem, pathKmem, hash)
 	}
 	want := pathKmem + hash + kernelKmem
-	if got := p.PathOwner().Counters.Kmem; got != want {
+	if got := p.Owner.Counters.Kmem; got != want {
 		t.Fatalf("path kmem after create = %d, want %d", got, want)
 	}
 
@@ -488,7 +497,7 @@ func TestWorkQueueBoundAndKmem(t *testing.T) {
 	if p.Drops != 1 || p.PendingWork() != inQueueCap {
 		t.Fatalf("drops=%d pending=%d, want 1 and %d", p.Drops, p.PendingWork(), inQueueCap)
 	}
-	if got := p.PathOwner().Counters.Kmem; got != want {
+	if got := p.Owner.Counters.Kmem; got != want {
 		t.Fatalf("path kmem with a full queue = %d, want %d", got, want)
 	}
 
@@ -602,12 +611,10 @@ func TestLedgerConservationThroughPathActivity(t *testing.T) {
 	}
 }
 
-// TestDeadPathReleasesStageGraph: Destroy and Kill drop the path's
-// stages, handles, route and kill hooks, so the ledger's reference to a
-// dead path's Owner keeps only the Path header alive (a kill hook
-// closes over module state, such as a TCP connection, that would
-// otherwise outlive the path), and any stage access on the dead path
-// panics.
+// TestDeadPathReleasesStageGraph: a dead path holds no stage graph, so
+// every stage access on it panics instead of reaching torn-down module
+// state; pathKill, unlike pathDestroy, calls each stage's Reclaim in
+// stage order while the path's owner is still live.
 func TestDeadPathReleasesStageGraph(t *testing.T) {
 	for _, end := range []string{"Destroy", "Kill"} {
 		t.Run(end, func(t *testing.T) {
@@ -616,15 +623,29 @@ func TestDeadPathReleasesStageGraph(t *testing.T) {
 			e := buildEnv(t, true, app, mid, dev)
 			p := createPath(t, e)
 			h := p.Handle(1)
-			p.OnKill(func() {})
+			var want []string
+			for _, rec := range p.Stages() {
+				want = append(want, rec.Node.Name()+":live")
+			}
+			var mods []*fakeMod
+			for _, rec := range p.Stages() {
+				mods = append(mods, rec.Node.Mod().(*fakeMod))
+			}
 			if end == "Destroy" {
 				e.mgr.Destroy(nil, p)
+				want = nil
 			} else {
 				e.mgr.Kill(p)
 			}
-			if p.stages != nil || p.handles != nil || p.route != nil || p.killHooks != nil {
-				t.Fatalf("dead path still holds stages=%v handles=%v route=%v killHooks=%d",
-					p.stages, p.handles, p.route, len(p.killHooks))
+			var got []string
+			for _, f := range mods {
+				got = append(got, f.reclaimed...)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("Reclaim calls %v, want %v", got, want)
+			}
+			if len(p.Stages()) != 0 || p.route != nil {
+				t.Fatalf("dead path still holds stages=%v route=%v", p.Stages(), p.route)
 			}
 			for name, op := range map[string]func(){
 				"StageAt":  func() { p.StageAt(0) },

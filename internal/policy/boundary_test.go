@@ -57,7 +57,7 @@ func TestReaperMinAgeBoundary(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			src := &fakeConns{now: k.Engine().Now, age: tc.age, path: module.PathRef(p)}
+			src := &fakeConns{now: k.Engine().Now, age: tc.age, path: p.PathRef()}
 			r := EnableSessionReaper(k, mgr, src, minAge)
 
 			// Run through the first scan only: the second (at 2×interval)

@@ -385,7 +385,7 @@ func (d *Detector) collect() {
 			f.cycles += int64(dc)
 			f.bytes += int64(db)
 			f.kmem += int64(owner.Counters.Kmem)
-			if p, ok := cs.Path.(*path.Path); ok {
+			if p := path.Of(cs.Path); p != nil {
 				f.paths = append(f.paths, p)
 			}
 			st.seen = true

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/lib"
-	"repro/internal/module"
 	"repro/internal/obs"
 	"repro/internal/path"
 	"repro/internal/proto/tcp"
@@ -52,9 +51,13 @@ func (f *fakeTable) open(t *testing.T, mgr *path.Manager, ip uint32) *path.Path 
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.conns = append(f.conns, tcp.ConnStats{Path: module.PathRef(p),
-		State: tcp.StateEstablished, RemoteIP: ip})
+	f.conns = append(f.conns, tcpStats(p, ip))
 	return p
+}
+
+// tcpStats is an established connection from ip on path p.
+func tcpStats(p *path.Path, ip uint32) tcp.ConnStats {
+	return tcp.ConnStats{Path: p.PathRef(), State: tcp.StateEstablished, RemoteIP: ip}
 }
 
 // serve charges every connection from ip the given cycles and bytes.

@@ -70,7 +70,7 @@ func TestContainmentKillsRunawayPath(t *testing.T) {
 		t.Fatalf("kill cost bookkeeping: last=%d total=%d", c.LastKillCycles, c.TotalKillCycles)
 	}
 	// Detection happened at the 2ms budget, not later.
-	if got := p.PathOwner().Counters.Cycles; got > 3*sim.CyclesPerMillisecond {
+	if got := p.Owner.Counters.Cycles; got > 3*sim.CyclesPerMillisecond {
 		t.Fatalf("runaway consumed %d cycles before containment", got)
 	}
 }
@@ -118,11 +118,11 @@ func TestReserveShareSetsTicketsAndQuantum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ReserveShare(p, 9999)
-	if kernel.OwnerShare(p.PathOwner()).Tickets != 9999 {
+	ReserveShare(p.PathRef(), 9999)
+	if kernel.OwnerShare(&p.Owner).Tickets != 9999 {
 		t.Fatal("tickets not set")
 	}
-	if p.PathOwner().Limits.MaxRunCycles < 10*sim.CyclesPerMillisecond {
+	if p.Owner.Limits.MaxRunCycles < 10*sim.CyclesPerMillisecond {
 		t.Fatal("reservation did not extend the runtime quantum")
 	}
 	_ = k
@@ -131,8 +131,8 @@ func TestReserveShareSetsTicketsAndQuantum(t *testing.T) {
 func TestQoSOnAcceptHook(t *testing.T) {
 	_, mgr := newEnv(t)
 	p, _ := mgr.Create(nil, "s", "spin", lib.Attrs{})
-	QoSOnAccept(777)(p)
-	if kernel.OwnerShare(p.PathOwner()).Tickets != 777 {
+	QoSOnAccept(777)(p.PathRef())
+	if kernel.OwnerShare(&p.Owner).Tickets != 777 {
 		t.Fatal("hook did not reserve")
 	}
 }
@@ -140,8 +140,8 @@ func TestQoSOnAcceptHook(t *testing.T) {
 func TestDemotePriority(t *testing.T) {
 	_, mgr := newEnv(t)
 	p, _ := mgr.Create(nil, "bad", "spin", lib.Attrs{})
-	DemotePriority(p)
-	sh := kernel.OwnerShare(p.PathOwner())
+	DemotePriority(p.PathRef())
+	sh := kernel.OwnerShare(&p.Owner)
 	if sh.Tickets != 1 || sh.Priority != 0 {
 		t.Fatalf("demotion: tickets=%d prio=%d", sh.Tickets, sh.Priority)
 	}

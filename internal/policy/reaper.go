@@ -85,8 +85,8 @@ func (r *SessionReaper) scan(ctx *kernel.Ctx, now sim.Cycles) {
 		if bytes > 0 && owner.Counters.Cycles < DefaultReaperCyclesPerByte*sim.Cycles(bytes) {
 			return // moving bytes at a sane cost: leave it alone
 		}
-		p, ok := cs.Path.(*path.Path)
-		if !ok {
+		p := path.Of(cs.Path)
+		if p == nil {
 			return
 		}
 		if !r.demoted[cs.Path] {

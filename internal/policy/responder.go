@@ -49,7 +49,7 @@ func (l *Ladder) every(interval sim.Cycles, scan func(ctx *kernel.Ctx, now sim.C
 // Demote puts the path on a minimal allocation. The event string names
 // the policy rung for the trace ("watchdogDemote", ...).
 func (l *Ladder) Demote(p *path.Path, event string) {
-	DemotePriority(p)
+	DemotePriority(p.PathRef())
 	l.Demotions++
 	if tr := l.k.Tracer(); tr != nil {
 		tr.Policy(event, p.PathName(), "", l.k.Engine().Now())

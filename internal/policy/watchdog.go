@@ -2,6 +2,7 @@ package policy
 
 import (
 	"repro/internal/kernel"
+	"repro/internal/module"
 	"repro/internal/path"
 	"repro/internal/sim"
 )
@@ -20,7 +21,9 @@ type Watchdog struct {
 	*Ladder
 	stall sim.Cycles
 
-	seen map[*path.Path]watchState
+	// seen is keyed by each path's generation-stamped reference, so a
+	// path whose storage is recycled starts with no record.
+	seen map[module.PathRef]watchState
 }
 
 // watchState is one path's progress record between scans.
@@ -40,7 +43,7 @@ func EnableWatchdog(k *kernel.Kernel, mgr *path.Manager, stall sim.Cycles) *Watc
 		stall = DefaultWatchdogStall
 	}
 	w := &Watchdog{Ladder: newLadder(k, mgr, "Path Watchdog"), stall: stall,
-		seen: make(map[*path.Path]watchState)}
+		seen: make(map[module.PathRef]watchState)}
 	w.every(stall/4, w.scan)
 	return w
 }
@@ -49,11 +52,12 @@ func EnableWatchdog(k *kernel.Kernel, mgr *path.Manager, stall sim.Cycles) *Watc
 // rebuilt each pass so dead paths cannot pin entries.
 func (w *Watchdog) scan(ctx *kernel.Ctx, now sim.Cycles) {
 	op := w.k.Model().AccountingOp
-	next := make(map[*path.Path]watchState, len(w.seen))
+	next := make(map[module.PathRef]watchState, len(w.seen))
 	for _, p := range w.mgr.Paths() {
 		ctx.Use(op)
 		prog := p.Delivered + p.Drops
-		st, ok := w.seen[p]
+		ref := p.PathRef()
+		st, ok := w.seen[ref]
 		if !ok || st.progress != prog {
 			st = watchState{progress: prog, since: now, demoted: st.demoted}
 		}
@@ -67,7 +71,7 @@ func (w *Watchdog) scan(ctx *kernel.Ctx, now sim.Cycles) {
 				continue // killed: no state to carry
 			}
 		}
-		next[p] = st
+		next[ref] = st
 	}
 	w.seen = next
 }

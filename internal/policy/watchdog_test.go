@@ -68,10 +68,10 @@ func TestWatchdogEscalatesHungPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := hung.EnqueueIn(msg.FromBytes(hung.PathOwner(), []byte("x"))); err != nil {
+		if err := hung.EnqueueIn(msg.FromBytes(&hung.Owner, []byte("x"))); err != nil {
 			t.Fatal(err)
 		}
-		if err := healthy.EnqueueIn(msg.FromBytes(healthy.PathOwner(), []byte("x"))); err != nil {
+		if err := healthy.EnqueueIn(msg.FromBytes(&healthy.Owner, []byte("x"))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -82,7 +82,7 @@ func TestWatchdogEscalatesHungPath(t *testing.T) {
 	if w.Demotions != 1 || w.Kills != 0 {
 		t.Fatalf("after one stall: demotions=%d kills=%d, want 1/0", w.Demotions, w.Kills)
 	}
-	sh := kernel.OwnerShare(hung.PathOwner())
+	sh := kernel.OwnerShare(&hung.Owner)
 	if sh.Tickets != 1 || sh.Priority != 0 {
 		t.Fatalf("demotion did not land: tickets=%d prio=%d", sh.Tickets, sh.Priority)
 	}
@@ -259,8 +259,8 @@ func TestDemotePriorityEdges(t *testing.T) {
 		prep func(p *path.Path)
 	}{
 		{"fresh path", func(*path.Path) {}},
-		{"already demoted (idempotent)", func(p *path.Path) { DemotePriority(p) }},
-		{"overrides a QoS reservation", func(p *path.Path) { ReserveShare(p, 9999) }},
+		{"already demoted (idempotent)", func(p *path.Path) { DemotePriority(p.PathRef()) }},
+		{"overrides a QoS reservation", func(p *path.Path) { ReserveShare(p.PathRef(), 9999) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -270,8 +270,8 @@ func TestDemotePriorityEdges(t *testing.T) {
 				t.Fatal(err)
 			}
 			tc.prep(p)
-			DemotePriority(p)
-			sh := kernel.OwnerShare(p.PathOwner())
+			DemotePriority(p.PathRef())
+			sh := kernel.OwnerShare(&p.Owner)
 			if sh.Tickets != 1 || sh.Priority != 0 {
 				t.Fatalf("tickets=%d prio=%d, want 1/0", sh.Tickets, sh.Priority)
 			}

@@ -86,7 +86,11 @@ func (m *Module) Init(ic *module.InitCtx) error {
 // CreateStage implements module.Module. The driver is the last module
 // opened on a path, so next is always "".
 func (m *Module) CreateStage(pb module.PathBuilder, attrs lib.Attrs) (module.Stage, string, error) {
-	st := &stage{
+	st, _ := pb.Reuse().(*stage)
+	if st == nil {
+		st = new(stage)
+	}
+	*st = stage{
 		mod: m,
 		k:   pb.Kernel(),
 		raw: attrs.Bool(AttrRaw),

@@ -65,11 +65,17 @@ func (m *Module) Init(*module.InitCtx) error { return nil }
 
 // CreateStage implements module.Module: bind to the FS stage above.
 func (m *Module) CreateStage(pb module.PathBuilder, attrs lib.Attrs) (module.Stage, string, error) {
-	st := &stage{
+	st, _ := pb.Reuse().(*stage)
+	if st == nil {
+		st = new(stage)
+	}
+	// A recycled stage keeps its request buffer's storage.
+	*st = stage{
 		mod:    m,
 		k:      pb.Kernel(),
 		h:      pb.Handle(),
 		stream: attrs.Bool(AttrStream),
+		req:    request{buf: st.req.buf[:0]},
 	}
 	if r, ok := attrs.Int(AttrStreamRate); ok {
 		st.streamRate = r

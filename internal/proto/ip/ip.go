@@ -93,7 +93,11 @@ func (m *Module) RouteFor(dst uint32) (string, bool) {
 
 // CreateStage implements module.Module.
 func (m *Module) CreateStage(pb module.PathBuilder, attrs lib.Attrs) (module.Stage, string, error) {
-	st := &stage{mod: m, k: pb.Kernel(), localIP: m.myIP}
+	st, _ := pb.Reuse().(*stage)
+	if st == nil {
+		st = new(stage)
+	}
+	*st = stage{mod: m, k: pb.Kernel(), localIP: m.myIP}
 	if ip, ok := attrs.Uint32(lib.AttrRemoteIP); ok {
 		st.remoteIP = ip
 	}

@@ -79,6 +79,11 @@ func (s *activeStage) Deliver(ctx *kernel.Ctx, dir module.Direction, mm *msg.Msg
 	return c.input(ctx, mm)
 }
 
+// Reclaim implements module.Reclaimer: on pathKill the connection
+// leaves the table and its TCB refund lands at once, instead of at the
+// master sweep.
+func (s *activeStage) Reclaim() { s.c.m.reapKilled(s.c) }
+
 // Destroy implements module.Stage: the destructor releases the
 // connection's module-level state (conn-table entry, SYN_RECVD slot) —
 // the resources the paper says destructors return to the domain.

@@ -9,6 +9,7 @@ package tcp
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/kernel"
@@ -270,7 +271,8 @@ func (m *Module) masterTick(ctx *kernel.Ctx) {
 	}
 }
 
-// reapKilled reclaims a connection whose path was summarily killed:
+// reapKilled reclaims a connection whose path was summarily killed (its
+// stage's Reclaim, called while the path's owner is still live):
 // report abnormal deaths as offenders (§4.4.4) and return the TCB and
 // SYN_RECVD slot immediately. It is the prompt, per-kill form of the
 // master sweep's stale-entry branch (which remains as a backstop).
@@ -379,7 +381,15 @@ func (m *Module) CreateStage(pb module.PathBuilder, attrs lib.Attrs) (module.Sta
 	listener, _ := attrs[AttrListener].(*Listener)
 
 	m.iss += 64009
-	c := &conn{
+	// A recycled path hands back its TCB and stage: the path retired,
+	// so neither the connection table nor anything else still names
+	// them.
+	st, _ := pb.Reuse().(*activeStage)
+	if st == nil {
+		st = &activeStage{c: new(conn)}
+	}
+	c := st.c
+	*c = conn{
 		m:          m,
 		path:       pb.Handle().Path(),
 		h:          pb.Handle(),
@@ -414,16 +424,10 @@ func (m *Module) CreateStage(pb module.PathBuilder, attrs lib.Attrs) (module.Sta
 	}
 	pb.PathOwner().ChargeKmem(tcbKmem) //escort:held TCB; refunded by dropConn at connection teardown
 	c.tcbCharged = true
-	// Reclaim the module-level state the moment the path is killed
-	// (rather than waiting for the next master sweep): pathKill must
-	// leave nothing behind, and the refund needs the owner still live.
-	if kp, ok := c.path.(interface{ OnKill(func()) }); ok {
-		kp.OnKill(func() { m.reapKilled(c) })
-	}
 	// Connection setup work (TCB init, sequence selection) belongs to
 	// the connection's own path.
 	m.k.Burn(pb.PathOwner(), m.k.Model().TCPConnSetup)
-	return &activeStage{c: c}, m.ipName, nil
+	return st, m.ipName, nil
 }
 
 // Demux implements module.Module (§2.2, §4.4.1): established
@@ -540,6 +544,13 @@ type passiveStage struct {
 	activeStart string
 	activeExtra lib.Attrs
 	serial      uint64
+
+	// attrs and name are per-SYN scratch: no CreateStage keeps the
+	// attribute map, so one serves every active path this stage
+	// creates; name builds each path's name before it is copied into
+	// the one string the path keeps.
+	attrs lib.Attrs
+	name  []byte
 }
 
 // Deliver implements module.Stage.
@@ -588,19 +599,21 @@ func (s *passiveStage) Deliver(ctx *kernel.Ctx, dir module.Direction, mm *msg.Ms
 		}
 	}
 	s.serial++
-	attrs := lib.Attrs{
-		lib.AttrRemoteIP:   mm.Net.SrcIP,
-		lib.AttrRemotePort: int(h.SrcPort),
-		lib.AttrLocalPort:  int(s.l.Port),
-		ethmod.AttrPeerMAC: netsim.MAC(mm.Net.SrcMAC),
-		AttrIRS:            h.Seq,
-		AttrListener:       s.l,
+	if s.attrs == nil {
+		s.attrs = make(lib.Attrs, 6+len(s.activeExtra))
 	}
+	attrs := s.attrs
+	clear(attrs)
+	attrs[lib.AttrRemoteIP] = mm.Net.SrcIP
+	attrs[lib.AttrRemotePort] = int(h.SrcPort)
+	attrs[lib.AttrLocalPort] = int(s.l.Port)
+	attrs[ethmod.AttrPeerMAC] = netsim.MAC(mm.Net.SrcMAC)
+	attrs[AttrIRS] = h.Seq
+	attrs[AttrListener] = s.l
 	for k, v := range s.activeExtra {
 		attrs[k] = v
 	}
-	name := fmt.Sprintf("Active Path %s:%d#%d", s.l.TrustClass, h.SrcPort, s.serial)
-	ap, err := m.factory.CreatePath(ctx, name, s.activeStart, attrs)
+	ap, err := m.factory.CreatePath(ctx, s.pathName(h.SrcPort), s.activeStart, attrs)
 	if err != nil {
 		return false, fmt.Errorf("tcp: active path: %w", err)
 	}
@@ -617,6 +630,19 @@ func (s *passiveStage) Deliver(ctx *kernel.Ctx, dir module.Direction, mm *msg.Ms
 	return false, ap.EnqueueControl(idx, func(ctx *kernel.Ctx, st module.Stage) {
 		st.(*activeStage).c.sendSynAck(ctx)
 	})
+}
+
+// pathName returns "Active Path <trust>:<port>#<serial>" for the next
+// active path, allocating only the returned string.
+func (s *passiveStage) pathName(srcPort uint16) string {
+	b := append(s.name[:0], "Active Path "...)
+	b = append(b, s.l.TrustClass...)
+	b = append(b, ':')
+	b = strconv.AppendUint(b, uint64(srcPort), 10)
+	b = append(b, '#')
+	b = strconv.AppendUint(b, s.serial, 10)
+	s.name = b
+	return string(b)
 }
 
 // Destroy implements module.Stage: deregister the listener.

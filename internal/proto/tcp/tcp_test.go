@@ -7,16 +7,22 @@ package tcp_test
 // without a network.
 
 import (
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"repro/internal/cost"
 	"repro/internal/escort"
 	"repro/internal/lib"
+	"repro/internal/module"
 	"repro/internal/msg"
 	"repro/internal/netsim"
+	"repro/internal/proto/tcp"
 	"repro/internal/proto/wire"
 	"repro/internal/sim"
 	"repro/internal/workload"
+
+	ethmod "repro/internal/proto/eth"
 )
 
 const mbps100 = 100_000_000
@@ -182,5 +188,52 @@ func TestListenersVisible(t *testing.T) {
 	}
 	if e.srv.Trusted.Path() == nil {
 		t.Fatal("listener path missing")
+	}
+}
+
+// passiveScratch returns the attribute map l's passive stage reuses for
+// every active path it creates. The map is unexported state, read here
+// through reflection so the test can overwrite it.
+func passiveScratch(l *tcp.Listener) lib.Attrs {
+	f := reflect.ValueOf(l).Elem().FieldByName("stage").Elem().FieldByName("attrs")
+	return *(*lib.Attrs)(unsafe.Pointer(f.UnsafeAddr()))
+}
+
+// TestPassiveScratchAttrsNotRetained: the passive stage builds each
+// active path's attributes in one reused map. Overwriting that map right
+// after the path is created (from the listener's accept hook) must not
+// change the connection — no CreateStage may keep the map — so every
+// client conversation still completes against its own address, port
+// and MAC.
+func TestPassiveScratchAttrsNotRetained(t *testing.T) {
+	e := newEnv(t, escort.Options{})
+	l := e.srv.Trusted
+	accepted := 0
+	l.OnAccept = func(module.PathRef) {
+		accepted++
+		scratch := passiveScratch(l)
+		scratch[lib.AttrRemoteIP] = lib.IPv4(10, 9, 9, 9)
+		scratch[lib.AttrRemotePort] = 1
+		scratch[lib.AttrLocalPort] = 2
+		scratch[ethmod.AttrPeerMAC] = netsim.MAC(0x0200_dead_beef)
+		scratch[tcp.AttrIRS] = uint32(7)
+		delete(scratch, tcp.AttrListener)
+	}
+	var clients []*workload.Client
+	for i := 0; i < 3; i++ {
+		c := workload.NewClient(e.eng, e.hub, "c", lib.IPv4(10, 0, 1, byte(i+1)),
+			netsim.MAC(0x0200_0000_1000+uint64(i)), escort.ServerIP, "/doc1", uint64(i+1))
+		c.Start()
+		clients = append(clients, c)
+	}
+	e.srv.Run(sim.CyclesPerSecond)
+	if accepted == 0 {
+		t.Fatal("no connection accepted")
+	}
+	for i, c := range clients {
+		if c.Completed == 0 || c.Failed != 0 {
+			t.Fatalf("client %d: completed %d failed %d after its path's attributes were overwritten",
+				i, c.Completed, c.Failed)
+		}
 	}
 }

@@ -35,8 +35,12 @@ type Share struct {
 	pass uint64 // stride virtual time, accumulated across the owner
 }
 
-// ResetSched implements core.SchedState.
-func (s *Share) ResetSched() { s.pass = 0 }
+// DefaultTickets is a best-effort owner's proportional-share weight.
+const DefaultTickets = 10
+
+// ResetSched implements core.SchedState: the share returns to a fresh
+// owner's best-effort allocation, with no virtual time accumulated.
+func (s *Share) ResetSched() { *s = Share{Tickets: DefaultTickets} }
 
 // Pass exposes the stride virtual time (for tests).
 func (s *Share) Pass() uint64 { return s.pass }

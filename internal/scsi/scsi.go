@@ -49,7 +49,12 @@ func (m *Module) Init(ic *module.InitCtx) error {
 
 // CreateStage implements module.Module.
 func (m *Module) CreateStage(pb module.PathBuilder, attrs lib.Attrs) (module.Stage, string, error) {
-	return &stage{mod: m}, m.fsName, nil
+	st, _ := pb.Reuse().(*stage)
+	if st == nil {
+		st = new(stage)
+	}
+	*st = stage{mod: m}
+	return st, m.fsName, nil
 }
 
 // Demux implements module.Module: the disk is never a network entry.
